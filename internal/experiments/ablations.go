@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"ignite/internal/engine"
 	"ignite/internal/faults"
@@ -38,9 +39,14 @@ func AblCodec(ctx context.Context, opt Options) (*Result, error) {
 		return nil, err
 	}
 	// One representative workload is enough for the codec study (and keeps
-	// the sweep cheap); use the first selected workload.
+	// the sweep cheap); use the first selected workload. Its program comes
+	// from the shared memo, so a sweep builds it once.
 	spec := opt.Workloads[0]
-	prog, _, err := spec.Build()
+	cache := opt.Cache
+	if cache == nil {
+		cache = NewCellCache()
+	}
+	prog, err := cache.program(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -85,49 +91,54 @@ func AblCodec(ctx context.Context, opt Options) (*Result, error) {
 
 func recCompact(r *ignite.Recorder) int { return r.CompactRecords() }
 
+// ablationMatrix runs an ablation's cells on the scheduler, Options.Parallel
+// wide, through a side cache of opt.Cache: the cells reuse the shared program
+// and trace memos, but stay out of the shared cell table, its store and
+// remote, and the journal. The shared cache's Stats — which every exported
+// manifest records — therefore read the same with or without the
+// ablations in a sweep.
+func ablationMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*Result, *matrix, []string, error) {
+	opt.Cache = opt.Cache.side()
+	opt.Journal = nil
+	m, err := runMatrix(ctx, id, opt, configs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	r := &Result{ID: id, Title: Title(id), Failures: cellFailures(m.outcomes)}
+	// Aggregate in the given workload order, not plot order, so the float
+	// sums behind each row keep the order they always had.
+	var names []string
+	for _, s := range opt.withDefaults().Workloads {
+		if _, ok := m.cells[s.Name]; ok && !m.unhealthy[s.Name] {
+			names = append(names, s.Name)
+		}
+	}
+	return r, m, names, nil
+}
+
 // AblThrottle sweeps the replay throttle threshold: too low starves the
 // restore, too high lets replay thrash the BTB ahead of use.
 func AblThrottle(ctx context.Context, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	r := &Result{ID: "abl-throttle", Title: Title("abl-throttle")}
+	thresholds := []int{64, 256, 1024, 4096, 1 << 20}
+	configs := []runConfig{{Name: "nl", Kind: sim.KindNL, Mode: lukewarm.Interleaved}}
+	for _, thr := range thresholds {
+		configs = append(configs, runConfig{Name: strconv.Itoa(thr), Kind: sim.KindIgnite,
+			Tweak: sim.Tweaks{ThrottleThreshold: thr}, Mode: lukewarm.Interleaved})
+	}
+	r, m, names, err := ablationMatrix(ctx, "abl-throttle", opt, configs)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable(r.Title, "threshold", "speedup over NL", "BTB MPKI", "L1I MPKI")
-	for _, thr := range []int{64, 256, 1024, 4096, 1 << 20} {
+	for _, thr := range thresholds {
 		var speedups, btbs, l1s []float64
-		for _, spec := range opt.Workloads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := opt.Faults.Fire(ctx, faults.Site{
-				Experiment: "abl-throttle", Workload: spec.Name,
-				Config: fmt.Sprintf("%d", thr),
-			}); err != nil {
-				return nil, err
-			}
-			prog, _, err := spec.Build()
-			if err != nil {
-				return nil, err
-			}
-			base, err := sim.NewWithProgram(spec, prog, sim.KindNL)
-			if err != nil {
-				return nil, err
-			}
-			baseRes, err := base.Run(lukewarm.Interleaved)
-			if err != nil {
-				return nil, err
-			}
-			st, err := sim.NewWithProgram(spec, prog, sim.KindIgnite, sim.WithThrottleThreshold(thr))
-			if err != nil {
-				return nil, err
-			}
-			res, err := st.Run(lukewarm.Interleaved)
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, baseRes.CPI()/res.CPI())
+		for _, name := range names {
+			res := m.cells[name][strconv.Itoa(thr)].Res
+			speedups = append(speedups, m.cells[name]["nl"].Res.CPI()/res.CPI())
 			btbs = append(btbs, res.BTBMPKI())
 			l1s = append(l1s, res.L1IMPKI())
 		}
-		label := fmt.Sprintf("%d", thr)
+		label := strconv.Itoa(thr)
 		if thr == 1<<20 {
 			label = "unthrottled"
 		}
@@ -141,49 +152,35 @@ func AblThrottle(ctx context.Context, opt Options) (*Result, error) {
 
 // AblBTB compares Ice Lake's 5K-entry BTB against the modeled 12K-entry
 // Sapphire Rapids BTB (the paper states the overall trends are unaffected).
+// Every capacity has its own NL baseline cell.
 func AblBTB(ctx context.Context, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	r := &Result{ID: "abl-btb", Title: Title("abl-btb")}
+	sizes := []int{6144, 12288, 24576} // 6-way: sets must be a power of two
+	kinds := []sim.Kind{sim.KindBoomerangJB, sim.KindIgnite}
+	var configs []runConfig
+	for _, entries := range sizes {
+		for _, kind := range append([]sim.Kind{sim.KindNL}, kinds...) {
+			configs = append(configs, runConfig{Name: fmt.Sprintf("%d/%s", entries, kind), Kind: kind,
+				Tweak: sim.Tweaks{BTBEntries: entries}, Mode: lukewarm.Interleaved})
+		}
+	}
+	r, m, names, err := ablationMatrix(ctx, "abl-btb", opt, configs)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable(r.Title, "BTB entries", "config", "speedup over NL", "BTB MPKI")
-	for _, entries := range []int{6144, 12288, 24576} { // 6-way: sets must be a power of two
-		for _, kind := range []sim.Kind{sim.KindBoomerangJB, sim.KindIgnite} {
+	for _, entries := range sizes {
+		for _, kind := range kinds {
+			row := fmt.Sprintf("%d/%s", entries, kind)
 			var speedups, btbs []float64
-			for _, spec := range opt.Workloads {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if err := opt.Faults.Fire(ctx, faults.Site{
-					Experiment: "abl-btb", Workload: spec.Name,
-					Config: fmt.Sprintf("%d/%s", entries, kind),
-				}); err != nil {
-					return nil, err
-				}
-				prog, _, err := spec.Build()
-				if err != nil {
-					return nil, err
-				}
-				base, err := sim.NewWithProgram(spec, prog, sim.KindNL, sim.WithBTBEntries(entries))
-				if err != nil {
-					return nil, err
-				}
-				baseRes, err := base.Run(lukewarm.Interleaved)
-				if err != nil {
-					return nil, err
-				}
-				st, err := sim.NewWithProgram(spec, prog, kind, sim.WithBTBEntries(entries))
-				if err != nil {
-					return nil, err
-				}
-				res, err := st.Run(lukewarm.Interleaved)
-				if err != nil {
-					return nil, err
-				}
-				speedups = append(speedups, baseRes.CPI()/res.CPI())
+			for _, name := range names {
+				res := m.cells[name][row].Res
+				base := m.cells[name][fmt.Sprintf("%d/%s", entries, sim.KindNL)].Res
+				speedups = append(speedups, base.CPI()/res.CPI())
 				btbs = append(btbs, res.BTBMPKI())
 			}
 			t.AddRowf(entries, string(kind), stats.GeoMean(speedups), stats.Mean(btbs))
-			r.set(fmt.Sprintf("%d/%s", entries, kind), "speedup", stats.GeoMean(speedups))
-			r.set(fmt.Sprintf("%d/%s", entries, kind), "btbmpki", stats.Mean(btbs))
+			r.set(row, "speedup", stats.GeoMean(speedups))
+			r.set(row, "btbmpki", stats.Mean(btbs))
 		}
 	}
 	r.Table = t
@@ -193,48 +190,29 @@ func AblBTB(ctx context.Context, opt Options) (*Result, error) {
 // AblMetadata sweeps Ignite's per-function metadata budget (the paper caps
 // it at 120 KiB).
 func AblMetadata(ctx context.Context, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	r := &Result{ID: "abl-metadata", Title: Title("abl-metadata")}
+	budgets := []int{8, 30, 60, 120, 240} // KiB
+	configs := []runConfig{{Name: "nl", Kind: sim.KindNL, Mode: lukewarm.Interleaved}}
+	for _, kib := range budgets {
+		configs = append(configs, runConfig{Name: strconv.Itoa(kib), Kind: sim.KindIgnite,
+			Tweak: sim.Tweaks{MetadataBytes: kib << 10}, Mode: lukewarm.Interleaved})
+	}
+	r, m, names, err := ablationMatrix(ctx, "abl-metadata", opt, configs)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable(r.Title, "budget KiB", "speedup over NL", "BTB MPKI", "records dropped")
-	for _, kib := range []int{8, 30, 60, 120, 240} {
+	for _, kib := range budgets {
+		row := strconv.Itoa(kib)
 		var speedups, btbs, dropped []float64
-		for _, spec := range opt.Workloads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := opt.Faults.Fire(ctx, faults.Site{
-				Experiment: "abl-metadata", Workload: spec.Name,
-				Config: fmt.Sprintf("%d", kib),
-			}); err != nil {
-				return nil, err
-			}
-			prog, _, err := spec.Build()
-			if err != nil {
-				return nil, err
-			}
-			base, err := sim.NewWithProgram(spec, prog, sim.KindNL)
-			if err != nil {
-				return nil, err
-			}
-			baseRes, err := base.Run(lukewarm.Interleaved)
-			if err != nil {
-				return nil, err
-			}
-			st, err := sim.NewWithProgram(spec, prog, sim.KindIgnite, sim.WithMetadataBytes(kib<<10))
-			if err != nil {
-				return nil, err
-			}
-			res, err := st.Run(lukewarm.Interleaved)
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, baseRes.CPI()/res.CPI())
-			btbs = append(btbs, res.BTBMPKI())
-			dropped = append(dropped, float64(st.Ignite.Recorder().Dropped))
+		for _, name := range names {
+			c := m.cells[name][row]
+			speedups = append(speedups, m.cells[name]["nl"].Res.CPI()/c.Res.CPI())
+			btbs = append(btbs, c.Res.BTBMPKI())
+			dropped = append(dropped, c.Metrics[mIgniteDropped])
 		}
 		t.AddRowf(kib, stats.GeoMean(speedups), stats.Mean(btbs), stats.Mean(dropped))
-		r.set(fmt.Sprintf("%d", kib), "speedup", stats.GeoMean(speedups))
-		r.set(fmt.Sprintf("%d", kib), "dropped", stats.Mean(dropped))
+		r.set(row, "speedup", stats.GeoMean(speedups))
+		r.set(row, "dropped", stats.Mean(dropped))
 	}
 	r.Table = t
 	return r, nil

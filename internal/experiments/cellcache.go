@@ -41,11 +41,12 @@ var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
 // Entries are computed single-flight: a second request for an in-flight key
 // blocks until the first completes and shares its result.
 type CellCache struct {
-	mu     sync.Mutex
-	progs  map[string]*progEntry
-	cells  map[string]*cellEntry
-	traces map[string]*traceEntry
-	hits   int
+	mu    sync.Mutex
+	cells map[string]*cellEntry
+	hits  int
+	// memo holds the program and trace memos. A side cache shares its
+	// parent's (see side); neither memo counts in Stats.
+	memo *memos
 	// shareTraces feeds cells pre-generated committed traces (the walk
 	// depends only on the program and seed, never on the front-end
 	// configuration, so a workload's ~6 invocation traces are identical
@@ -99,6 +100,14 @@ func (cc *CellCache) SetBacking(b CellBacking) { cc.backing = b }
 // before the first cell request.
 func (cc *CellCache) SetRemote(fn RemoteFunc) { cc.remote = fn }
 
+// memos are the cell-independent artifacts every cell of a workload reads:
+// generated programs and committed invocation traces.
+type memos struct {
+	mu     sync.Mutex
+	progs  map[string]*progEntry
+	traces map[string]*traceEntry
+}
+
 type progEntry struct {
 	once sync.Once
 	prog *cfg.Program
@@ -126,11 +135,26 @@ type traceEntry struct {
 // NewCellCache returns an empty cache.
 func NewCellCache() *CellCache {
 	return &CellCache{
-		progs:       make(map[string]*progEntry),
-		cells:       make(map[string]*cellEntry),
-		traces:      make(map[string]*traceEntry),
+		cells: make(map[string]*cellEntry),
+		memo: &memos{
+			progs:  make(map[string]*progEntry),
+			traces: make(map[string]*traceEntry),
+		},
 		shareTraces: true,
 	}
+}
+
+// side returns a cache for cells that must stay out of cc's books. It
+// borrows cc's program and trace memos, so its cells reuse every program
+// build and trace walk, but keeps its own cell table and has no store
+// backing and no remote. cc's Stats — and so the cacheCells/cacheHits of
+// every manifest stamped from it — do not see anything computed on the
+// side. side(nil) is nil, leaving runMatrix on its private-cache path.
+func (cc *CellCache) side() *CellCache {
+	if cc == nil {
+		return nil
+	}
+	return &CellCache{cells: make(map[string]*cellEntry), memo: cc.memo, shareTraces: cc.shareTraces}
 }
 
 // specKey fingerprints everything about a workload that affects simulation:
@@ -158,14 +182,15 @@ func cellKey(spec workload.Spec, rc runConfig) string {
 
 // program returns the workload's generated program, building it at most once.
 func (cc *CellCache) program(spec workload.Spec) (*cfg.Program, error) {
+	m := cc.memo
 	key := specKey(spec)
-	cc.mu.Lock()
-	e, ok := cc.progs[key]
+	m.mu.Lock()
+	e, ok := m.progs[key]
 	if !ok {
 		e = &progEntry{}
-		cc.progs[key] = e
+		m.progs[key] = e
 	}
-	cc.mu.Unlock()
+	m.mu.Unlock()
 	e.once.Do(func() { e.prog, _, e.err = spec.Build() })
 	return e.prog, e.err
 }
@@ -271,14 +296,15 @@ func (cc *CellCache) Preload(key string, c *cell) {
 // the program at most once per key. Entries live for the cache's lifetime:
 // a full-scale all-figures run holds roughly six traces per workload.
 func (cc *CellCache) trace(prog *cfg.Program, specK string, seed, maxInstr uint64) ([]cfg.Step, cfg.WalkResult, error) {
+	m := cc.memo
 	key := fmt.Sprintf("%s|seed=%d|max=%d", specK, seed, maxInstr)
-	cc.mu.Lock()
-	e, ok := cc.traces[key]
+	m.mu.Lock()
+	e, ok := m.traces[key]
 	if !ok {
 		e = &traceEntry{}
-		cc.traces[key] = e
+		m.traces[key] = e
 	}
-	cc.mu.Unlock()
+	m.mu.Unlock()
 	e.once.Do(func() {
 		steps := make([]cfg.Step, 0, 4096)
 		e.res, e.err = prog.Walk(0, cfg.WalkOptions{Seed: seed, MaxInstr: maxInstr},

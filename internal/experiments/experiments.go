@@ -373,6 +373,7 @@ const (
 	mIgniteUseful   = "traffic.src_useful{component=traffic,src=ignite}"
 	mBTBRestored    = "btb.restored_inserts{component=btb}"
 	mBTBRestoredUU  = "btb.restored_evicted_untouched{component=btb}"
+	mIgniteDropped  = "ignite.dropped_records{component=ignite}"
 )
 
 // matrix is the outcome of runMatrix: the computed cells, every scheduler
@@ -508,17 +509,8 @@ func attachCells(r *Result, opt Options, m *matrix) {
 	fates := make(map[string]schedOutcome, len(m.outcomes))
 	for _, o := range m.outcomes {
 		fates[o.workload+"\x00"+o.config] = o
-		if o.status == StatusFailed || o.status == StatusSkipped {
-			var errStr string
-			if o.err != nil {
-				errStr = o.err.Error()
-			}
-			r.Failures = append(r.Failures, CellFailure{
-				Workload: o.workload, Config: o.config,
-				Status: o.status, Attempts: o.attempts, Err: errStr,
-			})
-		}
 	}
+	r.Failures = cellFailures(m.outcomes)
 	for _, name := range orderedCellNames(opt, m) {
 		row := m.cells[name]
 		cfgSet := make(map[string]bool, len(row))
@@ -556,6 +548,24 @@ func attachCells(r *Result, opt Options, m *matrix) {
 			r.Cells = append(r.Cells, cm)
 		}
 	}
+}
+
+// cellFailures lists the failed and skipped outcomes, in submission order.
+func cellFailures(outs []schedOutcome) []CellFailure {
+	var fs []CellFailure
+	for _, o := range outs {
+		if o.status == StatusFailed || o.status == StatusSkipped {
+			var errStr string
+			if o.err != nil {
+				errStr = o.err.Error()
+			}
+			fs = append(fs, CellFailure{
+				Workload: o.workload, Config: o.config,
+				Status: o.status, Attempts: o.attempts, Err: errStr,
+			})
+		}
+	}
+	return fs
 }
 
 // orderedNames returns the healthy workload names present in m, in Table 1
@@ -690,19 +700,7 @@ func Fig2(ctx context.Context, opt Options) (*Result, error) {
 		}
 	}
 
-	r := &Result{ID: "fig2", Title: Title("fig2")}
-	for _, o := range outs {
-		if o.status == StatusFailed || o.status == StatusSkipped {
-			var errStr string
-			if o.err != nil {
-				errStr = o.err.Error()
-			}
-			r.Failures = append(r.Failures, CellFailure{
-				Workload: o.workload, Config: o.config,
-				Status: o.status, Attempts: o.attempts, Err: errStr,
-			})
-		}
-	}
+	r := &Result{ID: "fig2", Title: Title("fig2"), Failures: cellFailures(outs)}
 	t := stats.NewTable(r.Title, "function", "instr WS (KiB)", "branch WS (BTB entries)", "dyn instrs")
 	var kibs, ents []float64
 	for _, s := range opt.Workloads {

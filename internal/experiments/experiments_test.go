@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"ignite/internal/lukewarm"
+	"ignite/internal/obs"
 	"ignite/internal/sim"
 	"ignite/internal/workload"
 )
@@ -264,12 +266,35 @@ func TestRunMatrixAggregatesFailures(t *testing.T) {
 	}
 }
 
+// cellDoneCounter counts scheduler CellDone events per experiment.
+type cellDoneCounter struct {
+	obs.BaseTracer
+	mu   sync.Mutex
+	done map[string]int
+}
+
+func (c *cellDoneCounter) CellDone(e obs.CellDoneEvent) {
+	c.mu.Lock()
+	c.done[e.Experiment]++
+	c.mu.Unlock()
+}
+
+// nonSimulating lists the experiments that run no lukewarm simulation cell:
+// closed-form tables, fig2's working-set walks, the codec study's bare
+// recorder runs, and the analytic fleet market.
+var nonSimulating = map[ID]bool{
+	"tab1": true, "tab2": true, "fig2": true, "abl-codec": true,
+	"fleet-pop": true, "fleet-frontier": true,
+}
+
 // TestChecksAllExperiments runs every registered experiment with runtime
 // invariant checking enabled: each distinct cell's invocations are audited
 // against the conservation laws in internal/check, and any violation fails
 // the run. The shared cell cache keeps the sweep affordable — every unique
 // (workload, config, mode) cell is simulated (and therefore audited) exactly
-// once.
+// once. Every simulating experiment must run its cells through the
+// scheduler, which is what hands them Checks, MaxCycles and the Tracer: an
+// experiment that emits no CellDone simulated outside it, unaudited.
 func TestChecksAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -283,10 +308,59 @@ func TestChecksAllExperiments(t *testing.T) {
 	opt.Parallel = 8
 	opt.Cache = NewCellCache()
 	opt.Checks = true
+	counter := &cellDoneCounter{done: map[string]int{}}
+	opt.Tracer = counter
 	if _, err := RunAll(context.Background(), IDs(), opt); err != nil {
 		t.Fatalf("invariant violation while running all experiments: %v", err)
 	}
 	if cells, _ := opt.Cache.Stats(); cells == 0 {
 		t.Fatal("no cells simulated")
+	}
+	for _, id := range IDs() {
+		if !nonSimulating[id] && counter.done[string(id)] == 0 {
+			t.Errorf("%s ran no cell through the scheduler, so checks never audited it", id)
+		}
+	}
+}
+
+// TestAblationsStayOutOfSharedCache pins the ablations' side cache: a sweep
+// with them leaves the shared cache's Stats — and so every manifest's
+// cacheCells/cacheHits — exactly as a sweep without them, while their
+// cells still reuse the shared program and trace memos. Each workload's
+// program is built once for the whole sweep.
+func TestAblationsStayOutOfSharedCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
+	opt := quickOpts(t)
+	for i := range opt.Workloads {
+		opt.Workloads[i].TargetInstr /= 8
+	}
+	var noAbl []ID
+	for _, id := range IDs() {
+		if !strings.HasPrefix(string(id), "abl-") {
+			noAbl = append(noAbl, id)
+		}
+	}
+	sweep := func(ids []ID) *CellCache {
+		o := opt
+		o.Cache = NewCellCache()
+		if _, err := RunAll(context.Background(), ids, o); err != nil {
+			t.Fatal(err)
+		}
+		return o.Cache
+	}
+	all, base := sweep(IDs()), sweep(noAbl)
+	gotCells, gotHits := all.Stats()
+	wantCells, wantHits := base.Stats()
+	if gotCells != wantCells || gotHits != wantHits {
+		t.Errorf("with ablations Stats() = (%d cells, %d hits), without = (%d, %d)",
+			gotCells, gotHits, wantCells, wantHits)
+	}
+	if n := len(all.memo.progs); n != len(opt.Workloads) {
+		t.Errorf("built %d programs for %d workloads", n, len(opt.Workloads))
+	}
+	if got, want := len(all.memo.traces), len(base.memo.traces); got != want {
+		t.Errorf("ablations walked %d traces of their own", got-want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,18 +16,21 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-// goldenFig1Document runs fig1 on the quick workload set and encodes it with
-// every environment-dependent manifest field cleared, so the bytes depend
-// only on the simulation (which the determinism tests pin bit-exactly) and
-// on the document schema itself.
-func goldenFig1Document(t *testing.T) []byte {
+// goldenDocument runs one experiment on the quick workload set at the given
+// scheduler width and encodes it with every environment-dependent manifest
+// field cleared, so the bytes depend only on the simulation (which the
+// determinism tests pin bit-exactly) and on the document schema itself. The
+// manifest always records Parallel=1: the width is part of the manifest, and
+// pinning it lets one fixture check that a wider pool yields the same bytes.
+func goldenDocument(t *testing.T, id ID, parallel int) []byte {
 	t.Helper()
 	opt := quickOpts(t)
-	opt.Parallel = 1 // recorded in the manifest; fix it so the bytes are stable
-	res, err := Run(context.Background(), "fig1", opt)
+	opt.Parallel = parallel
+	res, err := Run(context.Background(), id, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt.Parallel = 1
 	man := opt.Manifest()
 	man.GoVersion = "" // toolchain-dependent; omitted from the fixture
 	data, err := res.Document(man).Encode()
@@ -36,14 +40,12 @@ func goldenFig1Document(t *testing.T) []byte {
 	return data
 }
 
-// TestGoldenFig1Document locks the exported JSON document byte-for-byte.
-// A diff here means either the simulation changed (rerun with -update after
-// checking the determinism tests) or the document schema changed shape — in
-// which case obs.SchemaVersion must be bumped alongside regenerating the
-// fixture.
-func TestGoldenFig1Document(t *testing.T) {
-	path := filepath.Join("testdata", "fig1.golden.json")
-	got := goldenFig1Document(t)
+func goldenFig1Document(t *testing.T) []byte { return goldenDocument(t, "fig1", 1) }
+
+// checkGolden compares got against the fixture at path, or rewrites the
+// fixture under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -67,6 +69,36 @@ func TestGoldenFig1Document(t *testing.T) {
 			}
 		}
 		t.Fatalf("document differs from %s in length: got %d lines, want %d", path, len(gotLines), len(wantLines))
+	}
+}
+
+// TestGoldenFig1Document locks the exported JSON document byte-for-byte.
+// A diff here means either the simulation changed (rerun with -update after
+// checking the determinism tests) or the document schema changed shape — in
+// which case obs.SchemaVersion must be bumped alongside regenerating the
+// fixture.
+func TestGoldenFig1Document(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "fig1.golden.json"), goldenFig1Document(t))
+}
+
+// TestGoldenAblationDocuments locks the ablation studies' documents
+// byte-for-byte, serially and on a wide scheduler pool. The fixtures were
+// recorded from serial per-workload loops that built each program and ran
+// each NL baseline afresh, so they also pin the scheduler, the side cache
+// and trace sharing to those results.
+func TestGoldenAblationDocuments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four ablation studies twice")
+	}
+	for _, id := range []ID{"abl-codec", "abl-throttle", "abl-btb", "abl-metadata"} {
+		for _, parallel := range []int{1, 8} {
+			if *updateGolden && parallel != 1 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/parallel=%d", id, parallel), func(t *testing.T) {
+				checkGolden(t, filepath.Join("testdata", string(id)+".golden.json"), goldenDocument(t, id, parallel))
+			})
+		}
 	}
 }
 

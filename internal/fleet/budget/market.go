@@ -99,6 +99,17 @@ func mergedSchedule(tenants []Tenant, p Params) []event {
 	return events
 }
 
+// withDefaults fills the arrival process and window.
+func (p Params) withDefaults() Params {
+	if p.Process == "" {
+		p.Process = loadgen.Poisson
+	}
+	if p.Duration <= 0 {
+		p.Duration = 60 * time.Second
+	}
+	return p
+}
+
 // Run plays the merged arrival schedule through the policy. The market
 // keeps its own residency ledger and fails the run if the policy ever
 // reports an admission the budget cannot hold or an eviction of a
@@ -110,19 +121,19 @@ func Run(tenants []Tenant, p Params) (Outcome, error) {
 	if p.Policy == nil {
 		return Outcome{}, fmt.Errorf("budget: nil policy")
 	}
-	if p.Process == "" {
-		p.Process = loadgen.Poisson
-	}
-	if p.Duration <= 0 {
-		p.Duration = 60 * time.Second
-	}
+	p = p.withDefaults()
+	return play(tenants, p, mergedSchedule(tenants, p))
+}
+
+// play runs one policy over an already merged arrival schedule; p carries
+// its defaults.
+func play(tenants []Tenant, p Params, events []event) (Outcome, error) {
 	budget := p.BudgetBytes
 	if u, ok := p.Policy.(unbounded); ok && u.Unbounded() {
 		budget = math.MaxUint64
 	}
 	p.Policy.Reset(tenants, budget)
 
-	events := mergedSchedule(tenants, p)
 	if len(events) == 0 {
 		return Outcome{}, fmt.Errorf("budget: no arrivals in %v (rates too low?)", p.Duration)
 	}
@@ -243,13 +254,19 @@ type FrontierPoint struct {
 }
 
 // Frontier sweeps policies × budgets over one tenant set and arrival seed.
-// The "none" baseline is computed once (it is budget-independent) and every
+// The arrival schedule is merged once and replayed for every run. The
+// "none" baseline is computed once (it is budget-independent) and every
 // point's speedups are measured against it. Points are emitted in
 // (policy, budget) order; ctx cancellation aborts between runs.
 func Frontier(ctx context.Context, tenants []Tenant, policies []string, budgets []uint64, p Params) ([]FrontierPoint, error) {
+	if len(tenants) == 0 {
+		return nil, fmt.Errorf("budget: empty tenant set")
+	}
+	p = p.withDefaults()
+	events := mergedSchedule(tenants, p)
 	base := p
 	base.Policy = NewNone()
-	baseline, err := Run(tenants, base)
+	baseline, err := play(tenants, base, events)
 	if err != nil {
 		return nil, fmt.Errorf("budget: baseline: %w", err)
 	}
@@ -267,7 +284,7 @@ func Frontier(ctx context.Context, tenants []Tenant, policies []string, budgets 
 			run := p
 			run.Policy = pol
 			run.BudgetBytes = b
-			o, err := Run(tenants, run)
+			o, err := play(tenants, run, events)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ignite/internal/experiments"
 	"ignite/internal/fleet/budget"
 	"ignite/internal/fleet/population"
 	"ignite/internal/ignite"
@@ -216,5 +217,29 @@ func TestPolicyValidation(t *testing.T) {
 	tenants := sampleTenants(t, 1, 5)
 	if _, err := budget.Run(tenants, budget.Params{}); err == nil {
 		t.Error("nil policy accepted")
+	}
+}
+
+// BenchmarkFrontier is the fleet-frontier experiment's market sweep: every
+// default policy across the default budget ladder over the default
+// thousand-function population, including the all-cold baseline and the
+// one schedule merge they share.
+func BenchmarkFrontier(b *testing.B) {
+	fp := experiments.DefaultFleetParams()
+	fns, err := population.Sample(population.Params{Seed: fp.Seed, N: fp.N, RateScale: fp.RateScale})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tenants, err := budget.Tenants(fns, budget.Analytic{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := budget.Params{Seed: fp.Seed, Duration: fp.Duration, Process: fp.Process}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := budget.Frontier(context.Background(), tenants, fp.Policies, fp.Budgets, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

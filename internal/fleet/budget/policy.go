@@ -13,6 +13,10 @@ import (
 // invocation just re-recorded the metadata) and which residents to evict
 // first. A policy must never admit beyond the budget — the market verifies
 // and fails the run on a violation rather than silently repairing it.
+//
+// The market delivers arrivals in nondecreasing time, and arrivals at the
+// same time in ascending tenant order. Policies may rely on that order: the
+// LRU's recency list does, in place of sorting by (time, tenant).
 type Policy interface {
 	Name() string
 	Reset(tenants []Tenant, budgetBytes uint64)
@@ -68,10 +72,15 @@ func (r *residency) admit(i int) {
 }
 
 // LRU admits every recorded tenant and evicts the least-recently-invoked
-// residents until the newcomer fits.
+// residents until the newcomer fits. Residents sit on an intrusive recency
+// list threaded through per-tenant prev/next indices, least recent at the
+// head, so a hit, an admission and each eviction are O(1). Because the
+// market delivers arrivals in (time, tenant) order, list order is exactly
+// (last touch, tenant index) order.
 type LRU struct {
 	residency
-	lastTouch []float64
+	prev, next []int // recency-list links; -1 ends the list
+	head, tail int
 }
 
 // NewLRU returns the least-recently-used policy.
@@ -81,51 +90,56 @@ func (p *LRU) Name() string { return "lru" }
 
 func (p *LRU) Reset(tenants []Tenant, budget uint64) {
 	p.reset(tenants, budget)
-	p.lastTouch = make([]float64, len(tenants))
+	p.prev = make([]int, len(tenants))
+	p.next = make([]int, len(tenants))
+	p.head, p.tail = -1, -1
 }
 
-func (p *LRU) OnHit(i int, now float64) { p.lastTouch[i] = now }
+func (p *LRU) unlink(i int) {
+	if p.prev[i] >= 0 {
+		p.next[p.prev[i]] = p.next[i]
+	} else {
+		p.head = p.next[i]
+	}
+	if p.next[i] >= 0 {
+		p.prev[p.next[i]] = p.prev[i]
+	} else {
+		p.tail = p.prev[i]
+	}
+}
 
-func (p *LRU) OnMiss(i int, now float64) (bool, []int) {
-	p.lastTouch[i] = now
+func (p *LRU) pushBack(i int) {
+	p.prev[i], p.next[i] = p.tail, -1
+	if p.tail >= 0 {
+		p.next[p.tail] = i
+	} else {
+		p.head = i
+	}
+	p.tail = i
+}
+
+func (p *LRU) OnHit(i int, _ float64) {
+	if p.resident[i] {
+		p.unlink(i)
+		p.pushBack(i)
+	}
+}
+
+func (p *LRU) OnMiss(i int, _ float64) (bool, []int) {
 	need := p.size[i]
 	if need > p.budget {
 		return false, nil
 	}
-	free := p.budget - p.used
-	if free >= need {
-		p.admit(i)
-		return true, nil
-	}
-	// Evict coldest residents until the newcomer fits.
-	type cand struct {
-		idx   int
-		touch float64
-	}
-	var cands []cand
-	for j, res := range p.resident {
-		if res {
-			cands = append(cands, cand{j, p.lastTouch[j]})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].touch != cands[b].touch {
-			return cands[a].touch < cands[b].touch
-		}
-		return cands[a].idx < cands[b].idx
-	})
+	// Evict from the cold end until the newcomer fits.
 	var victims []int
-	for _, c := range cands {
-		if free >= need {
-			break
-		}
-		victims = append(victims, c.idx)
-		free += p.size[c.idx]
-	}
-	for _, v := range victims {
+	for p.budget-p.used < need {
+		v := p.head
+		p.unlink(v)
 		p.evict(v)
+		victims = append(victims, v)
 	}
 	p.admit(i)
+	p.pushBack(i)
 	return true, victims
 }
 
@@ -257,8 +271,8 @@ type Oracle struct{ residency }
 // NewOracle returns the no-budget oracle policy.
 func NewOracle() *Oracle { return &Oracle{} }
 
-func (p *Oracle) Name() string      { return "oracle" }
-func (p *Oracle) Unbounded() bool   { return true }
+func (p *Oracle) Name() string       { return "oracle" }
+func (p *Oracle) Unbounded() bool    { return true }
 func (p *Oracle) OnHit(int, float64) {}
 
 func (p *Oracle) Reset(tenants []Tenant, budget uint64) { p.reset(tenants, budget) }

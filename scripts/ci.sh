@@ -51,7 +51,7 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 # Bench smoke: every benchmark must still run (one iteration each) — a
 # benchmark that panics or no longer compiles is a broken promise to anyone
 # comparing against the committed BENCH_<n>.json trajectory.
-go test -run '^$' -bench=. -benchtime=1x ./internal/engine
+go test -run '^$' -bench=. -benchtime=1x -benchmem ./internal/engine ./internal/fleet/budget
 
 # Batching path under the race detector, by name: the batched invocation
 # entry point (engine.RunInvocations + the lukewarm protocol riding it) and
@@ -61,6 +61,13 @@ go test -run '^$' -bench=. -benchtime=1x ./internal/engine
 go test -race -run 'TestBatchedInvocationAllocs|TestScratchHandoff|TestProperties/batch-equivalence' \
   ./internal/engine ./internal/check/props
 go test -race -run 'TestScheduler' ./internal/experiments
+
+# Ablation side caches under the race detector, by name: the ablations run
+# their cells on the scheduler through side caches that share the sweep
+# cache's program and trace memos across goroutines. The goldens pin their
+# documents serially and on a wide pool; the isolation test pins that the
+# shared cache's Stats (and so every manifest) never see their cells.
+go test -race -run 'TestGoldenAblationDocuments|TestAblationsStayOutOfSharedCache' ./internal/experiments
 
 # Mutation smoke: break every invariant on purpose and prove the checker
 # fires, then run the metamorphic properties (the -race sweep above already
