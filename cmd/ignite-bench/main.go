@@ -9,15 +9,15 @@
 //	ignite-bench -exp fig1 -out results/ # versioned JSON document per experiment
 //	ignite-bench -exp all -progress      # narrate cell completions + ETA
 //	ignite-bench -exp all -fail-policy continue -out results/
-//	ignite-bench -exp all -resume -out results/   # pick up an interrupted run
+//	ignite-bench -exp all -store cells -out results/  # rerun as is to resume
 //
 // With -fail-policy continue, a failing simulation cell degrades its figure
 // (the cell is reported, healthy cells complete) instead of aborting the
-// whole reproduction. With -out (or -journal), every computed cell is
-// appended to a crash-safe journal; -resume reloads it so an interrupted
-// run continues where it stopped. The IGNITE_FAULTS environment variable
-// arms deterministic fault injection (see internal/faults) for chaos
-// testing these paths.
+// whole reproduction. With -store, every computed cell is persisted to a
+// crash-safe content-addressed store, so rerunning the same command after an
+// interrupt serves the finished cells from disk and computes only the rest.
+// The IGNITE_FAULTS environment variable arms deterministic fault injection
+// (see internal/faults) for chaos testing these paths.
 //
 // Ctrl-C cancels cleanly: in-flight simulation cells drain, unstarted ones
 // are skipped, and the command exits with status 130. Simulation failures
@@ -92,10 +92,9 @@ func idList() string {
 }
 
 func main() {
-	cf := cfgcli.New("ignite-bench")
+	cf := cfgcli.New()
 	cf.BindCore(flag.CommandLine)
 	cf.BindMatrix(flag.CommandLine)
-	cf.BindJournal(flag.CommandLine)
 	expFlag := flag.String("exp", "all", "comma-separated experiment IDs or 'all' (ids: "+idList()+")")
 	listFlag := flag.Bool("list", false, "list experiments and workloads, then exit")
 	workerFlag := flag.Bool("worker", false, "run as a distributed-sweep worker: serve cell tasks on -listen until interrupted")
@@ -145,12 +144,6 @@ func main() {
 		reporter = obs.NewProgressReporter(os.Stderr)
 		opt.Tracer = reporter
 	}
-
-	closeJournal, err := cf.AttachJournal(&opt, *outFlag)
-	if err != nil {
-		cfgcli.Exit("ignite-bench", nil, err)
-	}
-	defer closeJournal()
 
 	// Persistent content-addressed cell store: warm records serve as pure
 	// I/O, fresh cells are persisted, and the set is sealed under a Merkle

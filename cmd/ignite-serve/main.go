@@ -67,7 +67,7 @@ func parsePopulation(s string) ([]workload.Spec, error) {
 }
 
 func main() {
-	cf := cfgcli.New("ignite-serve")
+	cf := cfgcli.New()
 	cf.BindCore(flag.CommandLine)
 	addrFlag := flag.String("addr", ":8080", "listen address (\":0\" for an ephemeral port)")
 	maxBatchFlag := flag.Int("max-batch", 0, "requests coalesced per cell before an immediate flush (0 = default 64)")

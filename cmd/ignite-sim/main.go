@@ -10,7 +10,6 @@
 //	ignite-sim -all -out results/           # machine-readable JSON per experiment
 //	ignite-sim -all -progress               # narrate cell completions + ETA
 //	ignite-sim -all -fail-policy continue   # degrade on cell failures, don't abort
-//	ignite-sim -all -resume -out results/   # pick up an interrupted run
 //
 // The IGNITE_FAULTS environment variable arms deterministic fault injection
 // (see internal/faults) on both the suite and single-cell runs.
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -51,8 +49,6 @@ func main() {
 	policyFlag := flag.String("fail-policy", "fail-fast", "cell-failure policy for -all: fail-fast or continue")
 	timeoutFlag := flag.Duration("cell-timeout", 0, "per-cell simulation deadline for -all (0 = none)")
 	cyclesFlag := flag.Uint64("max-cycles", 0, "per-invocation engine cycle budget (0 = unlimited)")
-	journalFlag := flag.String("journal", "", "crash-safe cell journal path for -all (default <out>/run.journal.jsonl when -out is set)")
-	resumeFlag := flag.Bool("resume", false, "preload cells from the journal of an interrupted -all run")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -75,8 +71,6 @@ func main() {
 			policy:   policy,
 			timeout:  *timeoutFlag,
 			cycles:   *cyclesFlag,
-			journal:  *journalFlag,
-			resume:   *resumeFlag,
 			faults:   plan,
 		})
 	case *showCfg:
@@ -106,8 +100,6 @@ type allOptions struct {
 	policy   experiments.FailurePolicy
 	timeout  time.Duration
 	cycles   uint64
-	journal  string
-	resume   bool
 	faults   *faults.Plan
 }
 
@@ -126,29 +118,6 @@ func runAll(ctx context.Context, ao allOptions) {
 	if ao.progress {
 		reporter = obs.NewProgressReporter(os.Stderr)
 		opt.Tracer = reporter
-	}
-	journalPath := ao.journal
-	if journalPath == "" && ao.dir != "" {
-		journalPath = filepath.Join(ao.dir, "run.journal.jsonl")
-	}
-	if ao.resume && journalPath == "" {
-		fatalCode(2, errors.New("ignite-sim: -resume needs a journal (-journal or -out)"))
-	}
-	if journalPath != "" {
-		j, err := experiments.OpenJournal(journalPath, opt.Fingerprint())
-		if err != nil {
-			fatal(err)
-		}
-		defer j.Close()
-		opt.Journal = j
-		if ao.resume {
-			loaded, skipped, err := j.Resume(opt.Cache)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "resumed %d cell(s) from %s (%d unreadable record(s) skipped)\n",
-				loaded, journalPath, skipped)
-		}
 	}
 
 	results, runErr := experiments.RunAll(ctx, nil, opt)

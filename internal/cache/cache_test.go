@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -246,5 +247,65 @@ func TestLinesReconstructsAddresses(t *testing.T) {
 		if !want[la] {
 			t.Errorf("Lines reported %#x which was never inserted", la)
 		}
+	}
+}
+
+// TestTickRenormalizationPreservesLRU drives two identical caches with the
+// same seeded stream of demand accesses, prefetch probes, fills and
+// invalidations. One cache's LRU clock is repeatedly pushed to just below
+// maxTick, so it renormalizes every few hundred operations; the other
+// never does. Renormalization must be invisible: every hit, FirstTouch
+// flag and eviction must match step for step.
+func TestTickRenormalizationPreservesLRU(t *testing.T) {
+	cfg := Config{Name: "t", SizeBytes: 1024, LineBytes: 64, Ways: 4, HitLatency: 1}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := MustNew(cfg)
+	rng := rand.New(rand.NewPCG(1, 2))
+	const steps, every = 20000, 300
+	for step := 0; step < steps; step++ {
+		if step%every == 0 {
+			if step > 0 && wrapped.tick >= maxTick-3 {
+				t.Fatalf("step %d: no renormalization in the last %d steps", step, every)
+			}
+			// Jumping the clock forward keeps every stored timestamp older
+			// than every future one, so relative recency is unchanged.
+			wrapped.tick = maxTick - 3
+		}
+		addr := uint64(rng.IntN(48)) * 64 // 48 lines over 4 sets of 4 ways
+		switch op := rng.IntN(10); {
+		case op < 5:
+			demand := op < 4
+			a, b := ref.Access(addr, demand), wrapped.Access(addr, demand)
+			if a != b {
+				t.Fatalf("step %d: Access(%#x, %v) = %+v, renormalized cache %+v", step, addr, demand, a, b)
+			}
+			if demand && !a.Hit {
+				evA, okA := ref.InsertAbsent(addr, ProvDemand)
+				evB, okB := wrapped.InsertAbsent(addr, ProvDemand)
+				if evA != evB || okA != okB {
+					t.Fatalf("step %d: demand fill of %#x evicted %+v/%v, renormalized cache %+v/%v", step, addr, evA, okA, evB, okB)
+				}
+			}
+		case op < 9:
+			prov := Provenance(rng.IntN(4))
+			evA, okA := ref.Insert(addr, prov)
+			evB, okB := wrapped.Insert(addr, prov)
+			if evA != evB || okA != okB {
+				t.Fatalf("step %d: Insert(%#x, %s) evicted %+v/%v, renormalized cache %+v/%v", step, addr, prov, evA, okA, evB, okB)
+			}
+		default:
+			if a, b := ref.Invalidate(addr), wrapped.Invalidate(addr); a != b {
+				t.Fatalf("step %d: Invalidate(%#x) = %v, renormalized cache %v", step, addr, a, b)
+			}
+		}
+	}
+	if ref.tick >= maxTick-3 {
+		t.Fatal("reference cache reached the renormalization threshold")
+	}
+	if *ref.Stats() != *wrapped.Stats() {
+		t.Errorf("stats differ after %d renormalizations:\n%+v\n%+v", steps/every, *ref.Stats(), *wrapped.Stats())
 	}
 }

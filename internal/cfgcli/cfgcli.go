@@ -1,15 +1,14 @@
 // Package cfgcli centralizes the flag, environment, and exit-code handling
 // the ignite CLIs used to duplicate: the shared flag block (-parallel,
-// -checks, -workloads, -target-instr, failure-policy and journal knobs), the
+// -checks, -workloads, -target-instr and failure-policy knobs), the
 // IGNITE_FAULTS / IGNITE_CHECKS environment gates, signal-aware contexts,
 // and the exit-code conventions (130 interrupted, 2 usage, 1 failure).
 //
 // A CLI binds only the groups it needs:
 //
-//	f := cfgcli.New("ignite-bench")
+//	f := cfgcli.New()
 //	f.BindCore(flag.CommandLine)    // -parallel, -checks, -target-instr, -max-cycles
 //	f.BindMatrix(flag.CommandLine)  // -workloads, -fail-policy, -cell-timeout, -retries
-//	f.BindJournal(flag.CommandLine) // -journal, -resume
 //	flag.Parse()
 //	opt, err := f.Options()         // experiments.Options from flags + env
 package cfgcli
@@ -21,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -63,8 +61,6 @@ func FaultsFromEnv() (*faults.Plan, error) {
 
 // Flags is the shared flag block. Zero value + Bind* + Parse, then Options.
 type Flags struct {
-	name string
-
 	Parallel    int
 	Checks      bool
 	TargetInstr uint64
@@ -74,14 +70,11 @@ type Flags struct {
 	FailPolicy  string
 	CellTimeout time.Duration
 	Retries     int
-
-	Journal string
-	Resume  bool
 }
 
-// New returns a flag block for the named CLI (the name prefixes errors).
-func New(name string) *Flags {
-	return &Flags{name: name, FailPolicy: "fail-fast"}
+// New returns a flag block with the defaults the Bind* methods register.
+func New() *Flags {
+	return &Flags{FailPolicy: "fail-fast"}
 }
 
 // BindCore registers the knobs every simulation-running CLI shares.
@@ -98,12 +91,6 @@ func (f *Flags) BindMatrix(fs *flag.FlagSet) {
 	fs.StringVar(&f.FailPolicy, "fail-policy", "fail-fast", "cell-failure policy: fail-fast aborts on the first failure, continue completes healthy cells and reports failures per cell")
 	fs.DurationVar(&f.CellTimeout, "cell-timeout", 0, "per-cell simulation deadline (0 = none)")
 	fs.IntVar(&f.Retries, "retries", 0, "transient-failure retries per cell (0 = default 2, negative disables)")
-}
-
-// BindJournal registers the crash-safe journal knobs.
-func (f *Flags) BindJournal(fs *flag.FlagSet) {
-	fs.StringVar(&f.Journal, "journal", "", "crash-safe cell journal path (default <out>/run.journal.jsonl when -out is set)")
-	fs.BoolVar(&f.Resume, "resume", false, "preload cells from the journal of an interrupted run before simulating")
 }
 
 // ChecksEnabled folds the -checks flag with the IGNITE_CHECKS gate.
@@ -162,38 +149,6 @@ func (f *Flags) Options() (experiments.Options, error) {
 		Faults:        plan,
 		Health:        new(obs.RunHealth),
 	}, nil
-}
-
-// AttachJournal resolves the journal path (-journal, falling back to
-// <outDir>/run.journal.jsonl), opens it onto opt, and replays it into the
-// cache when -resume is set. The returned closer is a no-op when no journal
-// applies.
-func (f *Flags) AttachJournal(opt *experiments.Options, outDir string) (func(), error) {
-	path := f.Journal
-	if path == "" && outDir != "" {
-		path = filepath.Join(outDir, "run.journal.jsonl")
-	}
-	if f.Resume && path == "" {
-		return nil, Usage("%s: -resume needs a journal (-journal or -out)", f.name)
-	}
-	if path == "" {
-		return func() {}, nil
-	}
-	j, err := experiments.OpenJournal(path, opt.Fingerprint())
-	if err != nil {
-		return nil, err
-	}
-	opt.Journal = j
-	if f.Resume {
-		loaded, skipped, err := j.Resume(opt.Cache)
-		if err != nil {
-			j.Close()
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "resumed %d cell(s) from %s (%d unreadable record(s) skipped)\n",
-			loaded, path, skipped)
-	}
-	return func() { j.Close() }, nil
 }
 
 // Exit terminates the process with the conventional status for err: 130 when

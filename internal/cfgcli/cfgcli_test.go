@@ -10,11 +10,10 @@ import (
 
 func parse(t *testing.T, args ...string) *Flags {
 	t.Helper()
-	f := New("test-cli")
+	f := New()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f.BindCore(fs)
 	f.BindMatrix(fs)
-	f.BindJournal(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -64,36 +63,5 @@ func TestTargetInstrWithoutWorkloadsCoversAll(t *testing.T) {
 		if s.TargetInstr != 9000 {
 			t.Errorf("%s budget = %d", s.Name, s.TargetInstr)
 		}
-	}
-}
-
-func TestAttachJournal(t *testing.T) {
-	f := parse(t, "-resume")
-	opt := experiments.Options{Cache: experiments.NewCellCache()}
-	var ue *UsageError
-	if _, err := f.AttachJournal(&opt, ""); !errors.As(err, &ue) {
-		t.Errorf("-resume without journal: %v", err)
-	}
-
-	dir := t.TempDir()
-	f = parse(t)
-	closer, err := f.AttachJournal(&opt, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
-	if opt.Journal == nil {
-		t.Error("journal not attached from out dir default")
-	}
-
-	f = parse(t)
-	opt2 := experiments.Options{}
-	closer2, err := f.AttachJournal(&opt2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer2()
-	if opt2.Journal != nil {
-		t.Error("journal attached with no path configured")
 	}
 }

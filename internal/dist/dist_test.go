@@ -427,20 +427,25 @@ func TestTaskCancelNotWorkerFault(t *testing.T) {
 // drain begins is shed with a retryable envelope, the coordinator fails
 // over, and every cell still completes byte-identical to a local compute.
 func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
-	wA := NewWorker()
-	inflight := make(chan struct{})
+	// Hold the first task attempt on the wire — on whichever worker
+	// receives it, since idle B may steal it from A's queue — so the drain
+	// demonstrably begins while a request is outstanding.
+	workers := []*Worker{NewWorker(), NewWorker()}
+	inflight := make(chan int, 1)
 	release := make(chan struct{})
-	var once sync.Once
-	srvA := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == PathTask {
-			// Hold the first task on the wire so the drain demonstrably
-			// begins while a request is outstanding.
-			once.Do(func() { close(inflight); <-release })
-		}
-		wA.Handler().ServeHTTP(rw, r)
-	}))
+	var held atomic.Bool
+	hold := func(i int) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == PathTask && held.CompareAndSwap(false, true) {
+				inflight <- i
+				<-release
+			}
+			workers[i].Handler().ServeHTTP(rw, r)
+		})
+	}
+	srvA := httptest.NewServer(hold(0))
 	defer srvA.Close()
-	srvB := httptest.NewServer(NewWorker().Handler())
+	srvB := httptest.NewServer(hold(1))
 	defer srvB.Close()
 	addrA := strings.TrimPrefix(srvA.URL, "http://")
 	addrB := strings.TrimPrefix(srvB.URL, "http://")
@@ -465,9 +470,9 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 		p, err := remote(context.Background(), specs[0], experiments.CellEnv{})
 		res1 <- out{p, err}
 	}()
-	<-inflight // the first task is outstanding against A
-	wA.BeginDrain()
-	close(release) // A now answers it with the retryable shutting-down shed
+	drained := <-inflight // the first task is outstanding against this worker
+	workers[drained].BeginDrain()
+	close(release) // it now answers with the retryable shutting-down shed
 
 	r1 := <-res1
 	if r1.err != nil {
@@ -490,9 +495,9 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 			t.Errorf("cell %d: failover payload differs from local compute", i)
 		}
 	}
-	// Cell 0 deterministically fails over (it was on A's wire when the
-	// drain began). Cell 1 may be stolen by idle B before draining A ever
-	// sees it, so only one failover is guaranteed.
+	// Cell 0 deterministically fails over (it was on the drained worker's
+	// wire when the drain began). Cell 1 may reach the live worker first,
+	// so only one failover is guaranteed.
 	if _, _, failovers := coord.Stats(); failovers < 1 {
 		t.Errorf("failovers = %d, want >= 1 (the in-flight cell was shed by the draining worker)", failovers)
 	}

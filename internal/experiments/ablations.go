@@ -94,12 +94,10 @@ func recCompact(r *ignite.Recorder) int { return r.CompactRecords() }
 // ablationMatrix runs an ablation's cells on the scheduler, Options.Parallel
 // wide, through a side cache of opt.Cache: the cells reuse the shared program
 // and trace memos, but stay out of the shared cell table, its store and
-// remote, and the journal. The shared cache's Stats — which every exported
-// manifest records — therefore read the same with or without the
-// ablations in a sweep.
+// remote. The shared cache's Stats — which every exported manifest records
+// — therefore read the same with or without the ablations in a sweep.
 func ablationMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*Result, *matrix, []string, error) {
 	opt.Cache = opt.Cache.side()
-	opt.Journal = nil
 	m, err := runMatrix(ctx, id, opt, configs)
 	if err != nil {
 		return nil, nil, nil, err

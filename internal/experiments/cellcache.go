@@ -77,9 +77,9 @@ type CellBacking interface {
 }
 
 // CellPayload is the portable value of one computed cell — exactly what
-// the journal, the content-addressed store, and the distributed-sweep wire
-// protocol all carry. lukewarm.Result is plain exported data, so a JSON
-// round trip reproduces it bit-identically.
+// the content-addressed store and the distributed-sweep wire protocol both
+// carry. lukewarm.Result is plain exported data, so a JSON round trip
+// reproduces it bit-identically.
 type CellPayload struct {
 	Res     *lukewarm.Result   `json:"res"`
 	Metrics map[string]float64 `json:"metrics"`
@@ -118,11 +118,6 @@ type cellEntry struct {
 	once sync.Once
 	c    *cell
 	err  error
-	// preloaded marks an entry injected by Preload (journal resume). The
-	// first request of a preloaded entry is not counted as a cache hit, so
-	// a resumed run reports the same cache statistics — and therefore an
-	// identical manifest — as the clean run it replays.
-	preloaded bool
 }
 
 type traceEntry struct {
@@ -216,16 +211,12 @@ type cellEnv struct {
 func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell, bool, error) {
 	key := cellKey(spec, rc)
 	cc.mu.Lock()
-	e, ok := cc.cells[key]
-	hit := ok
-	if !ok {
+	e, hit := cc.cells[key]
+	if hit {
+		cc.hits++
+	} else {
 		e = &cellEntry{}
 		cc.cells[key] = e
-	} else if e.preloaded {
-		e.preloaded = false
-		hit = false
-	} else {
-		cc.hits++
 	}
 	cc.mu.Unlock()
 	e.once.Do(func() {
@@ -276,20 +267,6 @@ func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell,
 		cc.mu.Unlock()
 	}
 	return e.c, hit, e.err
-}
-
-// Preload installs an already-computed cell (a journal record from an
-// earlier, interrupted run) under key. Existing entries win: a preloaded
-// cell never displaces a live computation.
-func (cc *CellCache) Preload(key string, c *cell) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if _, ok := cc.cells[key]; ok {
-		return
-	}
-	e := &cellEntry{c: c, preloaded: true}
-	e.once.Do(func() {})
-	cc.cells[key] = e
 }
 
 // trace returns the committed trace for (workload, seed, budget), walking

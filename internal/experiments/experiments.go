@@ -6,8 +6,6 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -89,10 +87,6 @@ type Options struct {
 	// so cached results are never poisoned by an injected failure and a
 	// retried cell is bit-identical to a clean one.
 	Faults *faults.Plan
-	// Journal, when set, records every computed cell (CRC-guarded,
-	// fsynced appends) so an interrupted run can be resumed with
-	// Journal.Resume instead of recomputing finished cells.
-	Journal *Journal
 	// Health, when set, accumulates run-health counters: panics
 	// recovered, transient retries, deadline hits, failed and skipped
 	// cells.
@@ -115,29 +109,6 @@ func (o Options) withDefaults() Options {
 		o.Checks = true
 	}
 	return o
-}
-
-// Fingerprint hashes the run configuration's contribution to cell cache
-// keys: the sorted spec keys of the workload matrix (name, instruction
-// budget, generator parameters, data profile — everything a -scale or
-// -workloads flag changes). Two runs share a fingerprint exactly when
-// every cell key one run can produce is a key the other can produce, which
-// is the condition under which replaying one run's journal into the other
-// is sound. Journals and distributed-sweep stores embed it so cross-run
-// artifacts are bound to the configuration that wrote them.
-func (o Options) Fingerprint() string {
-	o = o.withDefaults()
-	keys := make([]string, len(o.Workloads))
-	for i, s := range o.Workloads {
-		keys[i] = specKey(s)
-	}
-	sort.Strings(keys)
-	h := sha256.New()
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // Result is a reproduced table/figure: a rendered table plus the raw values
@@ -397,7 +368,7 @@ type matrix struct {
 // definitive cell failure cancels unstarted cells and the run returns the
 // joined errors; under ContinueOnError every healthy cell completes and
 // the failures ride on the returned matrix instead. Every finished cell is
-// announced to opt.Tracer and appended to opt.Journal.
+// announced to opt.Tracer.
 func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*matrix, error) {
 	opt = opt.withDefaults()
 	cache := opt.Cache
@@ -439,11 +410,6 @@ func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*m
 		c, cached, err := cache.cell(spec, rc, cellEnv)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", spec.Name, rc.Name, err)
-		}
-		if opt.Journal != nil {
-			if err := opt.Journal.Record(cellKey(spec, rc), site, c, opt.Faults); err != nil {
-				return fmt.Errorf("%s/%s: journal: %w", spec.Name, rc.Name, err)
-			}
 		}
 		store(spec.Name, rc.Name, c)
 		if tr := opt.Tracer; tr != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync/atomic"
 
 	"ignite/internal/obs"
 	"ignite/internal/store"
@@ -32,11 +33,13 @@ func (st *StoreStats) RegisterMetrics(reg *obs.Registry) {
 }
 
 // storeBacking adapts internal/store to the cell cache's CellBacking seam:
-// cell payloads marshal to the same JSON shape the journal records, keyed
-// by the canonical cell-cache key.
+// cell payloads are stored as JSON, keyed by the canonical cell-cache key.
 type storeBacking struct {
 	st    *store.Store
 	stats *StoreStats
+	// manifestWarned is set once a corrupt manifest has been reported:
+	// it fails every Get with the same error, so one warning says it all.
+	manifestWarned atomic.Bool
 }
 
 // BindStore mounts a persistent content-addressed store behind the cache:
@@ -58,7 +61,9 @@ func (b *storeBacking) Load(key string) (CellPayload, bool) {
 		var ce *store.CorruptionError
 		if errors.As(err, &ce) {
 			b.stats.Corrupt.Inc()
-			fmt.Fprintf(os.Stderr, "store: corruption detected, recomputing cell: %v\n", ce)
+			if ce.Path != b.st.ManifestPath() || !b.manifestWarned.Swap(true) {
+				fmt.Fprintf(os.Stderr, "store: corruption detected, recomputing cell: %v\n", ce)
+			}
 		} else if !errors.Is(err, store.ErrNotFound) {
 			fmt.Fprintf(os.Stderr, "store: read failed, recomputing cell: %v\n", err)
 		}

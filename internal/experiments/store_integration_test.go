@@ -3,11 +3,16 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"ignite/internal/faults"
 	"ignite/internal/lukewarm"
+	"ignite/internal/obs"
 	"ignite/internal/sim"
 	"ignite/internal/store"
 )
@@ -41,6 +46,32 @@ func flipBit(t *testing.T, path, needle string) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// captureStderr runs fn with os.Stderr redirected and returns what fn
+// wrote there.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string, 1)
+	go func() {
+		data, _ := io.ReadAll(r)
+		r.Close()
+		out <- string(data)
+	}()
+	saved := os.Stderr
+	os.Stderr = w
+	func() {
+		defer func() {
+			os.Stderr = saved
+			w.Close()
+		}()
+		fn()
+	}()
+	return <-out
 }
 
 // TestStoreWarmRerunByteIdentical proves the store round trip at the
@@ -168,15 +199,23 @@ func TestStoreManifestCorruptionRecomputed(t *testing.T) {
 		t.Fatal("corrupt manifest not detected at open")
 	}
 	opt2, stats2 := storeOpts(t, st2)
-	res2, err := Run(context.Background(), "fig1", opt2)
+	var res2 *Result
+	warnings := captureStderr(t, func() {
+		res2, err = Run(context.Background(), "fig1", opt2)
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every Get fails with the same manifest error; it is reported once,
+	// not once per cell, while every recompute is still counted.
+	if n := strings.Count(warnings, "store: corruption detected"); n != 1 {
+		t.Errorf("corrupt manifest warned %d times, want once:\n%s", n, warnings)
 	}
 	if hits := stats2.Hits.Value(); hits != 0 {
 		t.Errorf("%d records served under a corrupt manifest, want 0", hits)
 	}
-	if corrupt := stats2.Corrupt.Value(); corrupt == 0 {
-		t.Error("manifest corruption never surfaced in the stats")
+	if corrupt := stats2.Corrupt.Value(); corrupt != 4 {
+		t.Errorf("corruption detections = %d, want 4 (one per recomputed cell)", corrupt)
 	}
 	if !bytes.Equal(doc1, docBytes(t, res2, opt2)) {
 		t.Error("document after manifest corruption differs from the clean run")
@@ -196,5 +235,122 @@ func TestStoreManifestCorruptionRecomputed(t *testing.T) {
 	}
 	if hits := stats3.Hits.Value(); hits != 4 {
 		t.Errorf("post-reseal run served %d warm records, want 4", hits)
+	}
+}
+
+// cancelAfterCells cancels a run once n cells have reported CellDone.
+type cancelAfterCells struct {
+	obs.BaseTracer
+	n      int64
+	done   atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfterCells) CellDone(obs.CellDoneEvent) {
+	if c.done.Add(1) == c.n {
+		c.cancel()
+	}
+}
+
+// TestStoreResumesInterruptedRun is the crash-safe resume contract: a fig1
+// sweep interrupted while one cell is still simulating leaves every
+// finished cell in the store, and rerunning the same sweep over that store
+// serves exactly those cells, recomputes only the unfinished one, and
+// lands on a document byte-identical to an uninterrupted run.
+func TestStoreResumesInterruptedRun(t *testing.T) {
+	clean := chaosOpts(t)
+	clean.Cache = NewCellCache()
+	cleanRes, err := Run(context.Background(), "fig1", clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := docBytes(t, cleanRes, clean)
+
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt1, stats1 := storeOpts(t, st)
+	stuck := opt1.Workloads[0]
+	plan, err := faults.Parse("slow@fig1/" + stuck.Name + "/interleaved:delay=60s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt1.Faults = plan
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opt1.Tracer = &cancelAfterCells{n: 3, cancel: cancel}
+	if _, err := Run(ctx, "fig1", opt1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run = %v, want context.Canceled", err)
+	}
+	if saves := stats1.Saves.Value(); saves != 3 {
+		t.Fatalf("interrupted run persisted %d records, want the 3 finished cells", saves)
+	}
+	stuckKey := CellSpec{Workload: stuck, Config: sim.KindNL, Mode: lukewarm.Interleaved}.Key()
+	if _, err := st.Get(stuckKey); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("unfinished cell has a record: %v", err)
+	}
+
+	// The interrupted process never sealed: the rerun reopens the store
+	// as a restarted process would, with a fresh cache and no faults.
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt2, stats2 := storeOpts(t, st2)
+	res2, err := Run(context.Background(), "fig1", opt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := stats2.Hits.Value(), stats2.Misses.Value(); hits != 3 || misses != 1 {
+		t.Errorf("resumed run: %d hits / %d misses, want 3 / 1 (only the unfinished cell recomputes)", hits, misses)
+	}
+	if corrupt := stats2.Corrupt.Value(); corrupt != 0 {
+		t.Errorf("resumed run detected %d corruption(s), want 0", corrupt)
+	}
+	if !bytes.Equal(want, docBytes(t, res2, opt2)) {
+		t.Error("resumed document differs from an uninterrupted run")
+	}
+}
+
+// TestStoreForeignScaleServesNothing: a store filled at one TargetInstr
+// serves nothing to a sweep at another, because every cell key embeds the
+// full workload spec. The sweep recomputes everything and matches a fresh
+// run at its own scale.
+func TestStoreForeignScaleServesNothing(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	optA, _ := storeOpts(t, st)
+	if _, err := Run(context.Background(), "fig1", optA); err != nil {
+		t.Fatal(err)
+	}
+
+	rescale := func(opt *Options) {
+		for i := range opt.Workloads {
+			opt.Workloads[i].TargetInstr /= 2
+		}
+	}
+	fresh := chaosOpts(t)
+	rescale(&fresh)
+	fresh.Cache = NewCellCache()
+	freshRes, err := Run(context.Background(), "fig1", fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	optB, statsB := storeOpts(t, st)
+	rescale(&optB)
+	resB, err := Run(context.Background(), "fig1", optB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := statsB.Hits.Value(), statsB.Misses.Value(); hits != 0 || misses != 4 {
+		t.Errorf("foreign-scale run: %d hits / %d misses, want 0 / 4", hits, misses)
+	}
+	if !bytes.Equal(docBytes(t, freshRes, fresh), docBytes(t, resB, optB)) {
+		t.Error("foreign-scale store run differs from a fresh run at that scale")
 	}
 }

@@ -1,10 +1,11 @@
 // Package faults is a deterministic, seedable fault-injection registry for
 // the experiment pipeline. A Plan holds rules keyed by (experiment ID ×
 // workload × config); the runner fires the plan at well-defined sites and
-// the injected faults — panics, transient errors, slow cells, corrupted
-// persisted records — exercise exactly the recovery paths the scheduler
-// claims to have: per-cell isolation, retry with backoff, per-cell
-// deadlines, and journal-corruption detection.
+// the injected faults — panics, transient errors, slow cells — exercise
+// exactly the recovery paths the scheduler claims to have: per-cell
+// isolation, retry with backoff, and per-cell deadlines. (Persisted-record
+// corruption needs no injection: the store's tests flip and cut bytes on
+// disk.)
 //
 // Plans come from three places: programmatically (New/Add), from the
 // IGNITE_FAULTS environment variable (FromEnv), or the canonical Smoke plan
@@ -40,9 +41,6 @@ const (
 	// KindSlow delays the cell (honoring context cancellation) —
 	// exercises per-cell deadlines.
 	KindSlow Kind = "slow"
-	// KindCorrupt corrupts the cell's persisted journal record —
-	// exercises crash-safe resume's corruption detection.
-	KindCorrupt Kind = "corrupt"
 
 	// Network fault kinds fire at the transport boundary (see Transport and
 	// WrapListener in net.go), never at cell sites: their rule sites are
@@ -165,7 +163,7 @@ func (p *Plan) Add(spec string) error {
 	}
 	r := rule{kind: Kind(kindStr), trips: 1, delay: 250 * time.Millisecond}
 	switch r.kind {
-	case KindPanic, KindTransient, KindSlow, KindCorrupt,
+	case KindPanic, KindTransient, KindSlow,
 		KindConnReset, KindSlowNet, KindTruncatedBody, KindGarbageJSON:
 	default:
 		return fmt.Errorf("faults: rule %q: unknown kind %q", spec, kindStr)
@@ -334,14 +332,4 @@ func (p *Plan) Fire(ctx context.Context, s Site) error {
 		return &TransientError{Site: s, Trip: r.trips}
 	}
 	return nil
-}
-
-// CorruptRecord reports whether the persisted record for the site should be
-// corrupted (a KindCorrupt rule matched and had trips left). Nil-safe.
-func (p *Plan) CorruptRecord(s Site) bool {
-	if p == nil {
-		return false
-	}
-	_, ok := p.fire(s, KindCorrupt)
-	return ok
 }

@@ -7,9 +7,10 @@
 //
 // Integrity posture, strongest first:
 //
-//   - every record carries the IEEE CRC-32 of its payload (the same guard
-//     the run journal uses); a bit-flipped or torn record fails Get with a
-//     *CorruptionError instead of being served;
+//   - every record carries the IEEE CRC-32 of its payload and is written
+//     atomically (temp file, fsync, rename); a bit-flipped or torn record
+//     fails Get with a *CorruptionError instead of being served, and a
+//     temp file left by a killed writer is never read as a record;
 //   - a sealed store additionally has MANIFEST.json: the (hash, CRC) pairs
 //     of every record under a Merkle root. Open recomputes the root; any
 //     bit flip in the manifest — a leaf, the root, the structure — marks
@@ -22,7 +23,9 @@
 //
 // Corruption is always a recoverable miss for exactly the damaged cell:
 // callers count the detection and recompute, and Put replaces the bad
-// record in place.
+// record in place. The same property makes the store the crash-safe
+// record of a run: an interrupted sweep rerun over the same directory
+// serves every finished cell and computes only the rest.
 package store
 
 import (
@@ -40,8 +43,7 @@ import (
 )
 
 // Format constants. Records and the manifest are versioned the same way
-// the run journal and result documents are: unknown kinds or schema
-// versions fail loudly.
+// result documents are: unknown kinds or schema versions fail loudly.
 const (
 	recordKind    = "ignite.cell-record"
 	manifestKind  = "ignite.store-manifest"

@@ -68,7 +68,7 @@ func TestStoreSurvivesReopen(t *testing.T) {
 
 // flipBit flips one bit somewhere inside the file's JSON string content,
 // avoiding structural characters so the mutation models silent media
-// corruption rather than a truncation (which is separately detected).
+// corruption rather than a truncation (see tearAt).
 func flipBit(t *testing.T, path string, needle string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -85,29 +85,53 @@ func flipBit(t *testing.T, path string, needle string) {
 	}
 }
 
-// TestRecordCorruptionDetected flips one bit in a stored record: Get must
-// fail with *CorruptionError — never serve the damaged payload — while
-// sibling records keep serving.
+// tearAt cuts the file off just before needle, leaving a record that ends
+// mid-JSON: what a crash during a non-atomic write would leave behind.
+func tearAt(t *testing.T, path string, needle string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(string(data), needle)
+	if i < 0 {
+		t.Fatalf("needle %q not found in %s", needle, path)
+	}
+	if err := os.WriteFile(path, data[:i], 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecordCorruptionDetected damages a stored record — one flipped bit,
+// or a write torn mid-JSON: Get must fail with *CorruptionError — never
+// serve the damaged payload — while sibling records keep serving, and a
+// later Put repairs the record.
 func TestRecordCorruptionDetected(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	put(t, s, "good", `{"v":"intact-payload"}`)
-	put(t, s, "bad", `{"v":"doomed-payload"}`)
+	for _, tc := range []struct {
+		name   string
+		damage func(*testing.T, string, string)
+	}{{"bit-flip", flipBit}, {"torn", tearAt}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := Open(t.TempDir())
+			put(t, s, "good", `{"v":"intact-payload"}`)
+			put(t, s, "bad", `{"v":"doomed-payload"}`)
 
-	flipBit(t, s.recordPath(KeyHash("bad")), "doomed-payload")
+			tc.damage(t, s.recordPath(KeyHash("bad")), "doomed-payload")
 
-	var ce *CorruptionError
-	if _, err := s.Get("bad"); !errors.As(err, &ce) {
-		t.Fatalf("Get(bad) = %v, want *CorruptionError", err)
-	}
-	if got, err := s.Get("good"); err != nil || string(got) != `{"v":"intact-payload"}` {
-		t.Fatalf("sibling record damaged by detection: %s, %v", got, err)
-	}
+			var ce *CorruptionError
+			if _, err := s.Get("bad"); !errors.As(err, &ce) {
+				t.Fatalf("Get(bad) = %v, want *CorruptionError", err)
+			}
+			if got, err := s.Get("good"); err != nil || string(got) != `{"v":"intact-payload"}` {
+				t.Fatalf("sibling record damaged by detection: %s, %v", got, err)
+			}
 
-	// Recompute path: Put replaces the damaged record in place.
-	put(t, s, "bad", `{"v":"doomed-payload"}`)
-	if got, err := s.Get("bad"); err != nil || string(got) != `{"v":"doomed-payload"}` {
-		t.Fatalf("repaired record: %s, %v", got, err)
+			// Recompute path: Put replaces the damaged record in place.
+			put(t, s, "bad", `{"v":"doomed-payload"}`)
+			if got, err := s.Get("bad"); err != nil || string(got) != `{"v":"doomed-payload"}` {
+				t.Fatalf("repaired record: %s, %v", got, err)
+			}
+		})
 	}
 }
 
@@ -204,19 +228,33 @@ func TestMerkleRootProperties(t *testing.T) {
 	}
 }
 
-// TestSealSkipsUnverifiableRecords: a damaged record is excluded from the
-// sealed set but remains detected (by self-CRC) on Get.
+// TestSealSkipsUnverifiableRecords: a damaged record — bit-flipped or torn
+// mid-JSON — is excluded from the sealed set but remains detected on Get.
+// A stray temp file, which a process killed inside WriteFileAtomic leaves
+// next to the record it was replacing, is not a record: Seal ignores it
+// and the record beside it keeps serving.
 func TestSealSkipsUnverifiableRecords(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	put(t, s, "ok", `{"v":"fine-here"}`)
 	put(t, s, "bad", `{"v":"broken-rec"}`)
+	put(t, s, "torn", `{"v":"cut-short"}`)
 	flipBit(t, s.recordPath(KeyHash("bad")), "broken-rec")
+	tearAt(t, s.recordPath(KeyHash("torn")), "cut-short")
+	okPath := s.recordPath(KeyHash("ok"))
+	if err := os.WriteFile(okPath+".tmp123", []byte(`{"kind":"ignite.cell-record","sch`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, n, err := s.Seal(); err != nil || n != 1 {
 		t.Fatalf("Seal: n=%d err=%v, want 1 sealed record", n, err)
 	}
 	var ce *CorruptionError
-	if _, err := s.Get("bad"); !errors.As(err, &ce) {
-		t.Fatalf("damaged record served after seal: %v", err)
+	for _, key := range []string{"bad", "torn"} {
+		if _, err := s.Get(key); !errors.As(err, &ce) {
+			t.Fatalf("damaged record %q served after seal: %v", key, err)
+		}
+	}
+	if got, err := s.Get("ok"); err != nil || string(got) != `{"v":"fine-here"}` {
+		t.Fatalf("record beside a stray temp file: %s, %v", got, err)
 	}
 }

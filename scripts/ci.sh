@@ -77,8 +77,7 @@ go test -run 'TestMutationSmoke|TestVerifyResult' ./internal/check
 go test -run TestProperties ./internal/check/props
 
 # Chaos pass: the full experiment sweep under the canonical smoke fault plan
-# (one panic, one transient, one slow cell) plus the journal/scheduler chaos
-# tests. The -race sweep above already runs these; the named pass keeps the
+# (one panic, one transient, one slow cell) plus the scheduler chaos tests. The -race sweep above already runs these; the named pass keeps the
 # fault-tolerance path visible on its own and honors a custom IGNITE_FAULTS.
 IGNITE_FAULTS=smoke go test ./internal/experiments -run Chaos
 
@@ -212,19 +211,34 @@ go test -race -run 'TestChaosSweepByteIdentical' -timeout 10m ./internal/chaos
   test "$root_cold" = "$root_warm"
 )
 
-# Resume smoke: a journaled run, then a second run resumed from that journal
-# into a different output dir — the exported documents must match except for
-# the generation timestamp.
+# Crash-and-resume smoke: a run SIGKILLed while one cell is stuck behind a
+# slow fault leaves its finished cell in the store. Rerunning the same sweep
+# over that store serves the saved cell, computes only the unfinished one,
+# and exports a document matching a clean run except for the generation
+# timestamp. -parallel 2 lets the healthy cell finish beside the stuck one.
 (
   cd "$smoke"
   ./ignite-bench \
-    -exp fig1 -workloads Fib-G -target-instr 200000 \
-    -journal run.journal.jsonl -out resume-a >/dev/null
+    -exp fig1 -workloads Fib-G -target-instr 200000 -parallel 2 \
+    -out resume-a >/dev/null
+  IGNITE_FAULTS='slow@fig1/Fib-G/interleaved:delay=60s' ./ignite-bench \
+    -exp fig1 -workloads Fib-G -target-instr 200000 -parallel 2 \
+    -store resume-store -out resume-x >/dev/null 2>&1 &
+  crash_pid=$!
+  for _ in $(seq 600); do
+    [ -n "$(find resume-store/objects -name '*.json' 2>/dev/null)" ] && break
+    sleep 0.05
+  done
+  kill -KILL "$crash_pid"
+  wait "$crash_pid" || true
+  find resume-store/objects -name '*.json' | grep -q .
   ./ignite-bench \
-    -exp fig1 -workloads Fib-G -target-instr 200000 \
-    -journal run.journal.jsonl -resume -out resume-b >/dev/null
+    -exp fig1 -workloads Fib-G -target-instr 200000 -parallel 2 \
+    -store resume-store -out resume-b >/dev/null 2>resume-b.log
+  grep -q 'store: 1 hit(s), 1 miss(es)' resume-b.log
+  grep -q ' 0 corruption(s) detected' resume-b.log
   diff <(grep -v '"generated"' resume-a/fig1.json) \
        <(grep -v '"generated"' resume-b/fig1.json)
 )
 
-echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, self-healing smoke, resume)"
+echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, self-healing smoke, crash-and-resume smoke)"
