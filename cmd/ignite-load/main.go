@@ -14,9 +14,10 @@
 //
 // A run has two phases. The prime phase (default 250ms at 2000 req/s,
 // disable with -prime-rps 0) fires a Poisson burst at the cold cell; those
-// concurrent requests coalesce in the server's batcher, which is where the
-// reported coalescing ratio (batched requests per batch, >1 under any
-// concurrency) comes from. The measured phase then drives the schedule
+// concurrent requests share one simulation through the server's
+// single-flight cell cache, which is where the reported coalescing ratio
+// (requests through the admission gate per distinct computation, >1 under
+// any concurrency) comes from. The measured phase then drives the schedule
 // against the now-hot cell and owns every latency number in the report.
 // Server-side numbers are the /metrics deltas scraped around both phases.
 package main
@@ -178,9 +179,6 @@ func serverSide(before, after serve.MetricsDocument) loadgen.ServerSide {
 		BatchedRequests: delta("serve.batched_requests"),
 		Shed:            delta("serve.shed"),
 	}
-	if s, ok := after.Get(k("serve.batch_size")); ok {
-		ss.MaxBatchSize = s.Max
-	}
 	if ss.Batches > 0 {
 		ss.CoalescingRatio = ss.BatchedRequests / ss.Batches
 	}
@@ -197,8 +195,8 @@ func printSummary(r loadgen.Report) {
 	fmt.Printf("  latency (ms)   p50 %.3f   p99 %.3f   p999 %.3f   max %.3f\n",
 		r.Latency.P50Ms, r.Latency.P99Ms, r.Latency.P999Ms, r.Latency.MaxMs)
 	if r.ServerSide.Requests > 0 {
-		fmt.Printf("  server         %.0f requests, %.0f fast-path, %.0f batches (%.0f coalesced, ratio %.1f, max %.0f), %.0f shed\n",
+		fmt.Printf("  server         %.0f requests, %.0f fast-path, %.0f computations (%.0f through the gate, ratio %.1f), %.0f shed\n",
 			r.ServerSide.Requests, r.ServerSide.FastPathHits, r.ServerSide.Batches,
-			r.ServerSide.BatchedRequests, r.ServerSide.CoalescingRatio, r.ServerSide.MaxBatchSize, r.ServerSide.Shed)
+			r.ServerSide.BatchedRequests, r.ServerSide.CoalescingRatio, r.ServerSide.Shed)
 	}
 }

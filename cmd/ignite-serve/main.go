@@ -1,8 +1,9 @@
 // Command ignite-serve is the invocation-serving daemon: a long-running
 // HTTP/JSON server that accepts invocation requests for named functions
-// (the Table-1 workloads plus tweak overrides), coalesces concurrent
-// requests for the same simulation cell onto one batched engine run, and
-// answers with per-invocation latency/CPI/traffic results.
+// (the Table-1 workloads plus tweak overrides), admits them onto -parallel
+// compute slots in front of a single-flight cell cache (concurrent requests
+// for one simulation cell share one engine run), and answers with
+// per-invocation latency/CPI/traffic results.
 //
 // Usage:
 //
@@ -14,7 +15,7 @@
 //
 // Endpoints: POST /v1/invoke, GET /v1/catalog, GET /metrics, GET /healthz.
 // SIGTERM/Ctrl-C drains: the listener stops, in-flight requests answer,
-// pending batches compute, then the process exits 0.
+// every admitted computation finishes, then the process exits 0.
 package main
 
 import (
@@ -32,8 +33,8 @@ import (
 	"ignite/internal/workload"
 )
 
-// drainGrace bounds the SIGTERM drain: pending batches get this long to
-// compute before the process gives up.
+// drainGrace bounds the SIGTERM drain: in-flight requests get this long to
+// answer before the process gives up.
 const drainGrace = 30 * time.Second
 
 func drainContext() context.Context {
@@ -70,9 +71,7 @@ func main() {
 	cf := cfgcli.New()
 	cf.BindCore(flag.CommandLine)
 	addrFlag := flag.String("addr", ":8080", "listen address (\":0\" for an ephemeral port)")
-	maxBatchFlag := flag.Int("max-batch", 0, "requests coalesced per cell before an immediate flush (0 = default 64)")
-	maxWaitFlag := flag.Duration("max-wait", 0, "max time a request waits for batch-mates before its cell flushes (0 = default 2ms)")
-	queueFlag := flag.Int("queue", 0, "admission queue capacity; overflow sheds with 429 (0 = default 1024)")
+	queueFlag := flag.Int("queue", 0, "requests that may wait for a compute slot; overflow sheds with 429 (0 = default 1024)")
 	timeoutFlag := flag.Duration("request-timeout", 0, "default per-request deadline (0 = 60s)")
 	popFlag := flag.String("population", "", "serve a sampled fleet population alongside Table 1, as \"seed,N\" (e.g. \"42,1000\")")
 	flag.Parse()
@@ -96,8 +95,6 @@ func main() {
 		MaxCycles:      cf.MaxCycles,
 		Faults:         plan,
 		Workers:        cf.Parallel,
-		MaxBatch:       *maxBatchFlag,
-		MaxWait:        *maxWaitFlag,
 		Queue:          *queueFlag,
 		RequestTimeout: *timeoutFlag,
 		Population:     pop,

@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"time"
 
+	"ignite/internal/faults"
 	"ignite/internal/obs"
 )
 
@@ -251,10 +252,7 @@ func (s *Supervisor) monitor(i int) {
 				return
 			}
 			consecutive++
-			backoff := s.opts.RestartBackoff << (consecutive - 1)
-			if backoff > s.opts.BackoffCap || backoff <= 0 {
-				backoff = s.opts.BackoffCap
-			}
+			backoff := faults.Backoff(s.opts.RestartBackoff, s.opts.BackoffCap, consecutive)
 			s.opts.Log("worker %d (%s) exited (%v); restart %d/%d in %v",
 				i, addr, werr, consecutive, s.opts.MaxRestarts, backoff)
 			select {

@@ -146,7 +146,7 @@ func (s *scheduler) supervise(idx int, wl, cfg string, fn func(ctx context.Conte
 			return
 		}
 		if s.ctx.Err() == nil && attempt <= s.retries && faults.IsTransient(err) {
-			d := s.backoffFor(attempt)
+			d := faults.Backoff(s.backoff, maxBackoff, attempt)
 			if s.health != nil {
 				s.health.Retries.Add(1)
 			}
@@ -200,15 +200,6 @@ func (s *scheduler) attempt(wl, cfg string, attempt int, fn func(ctx context.Con
 		s.health.Deadlines.Add(1)
 	}
 	return err
-}
-
-// backoffFor returns the capped exponential delay before retry #attempt.
-func (s *scheduler) backoffFor(attempt int) time.Duration {
-	d := s.backoff << (attempt - 1)
-	if d > maxBackoff || d <= 0 {
-		d = maxBackoff
-	}
-	return d
 }
 
 func (s *scheduler) skip(idx int, wl, cfg string) {

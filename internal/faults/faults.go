@@ -110,6 +110,20 @@ func IsTransient(err error) bool {
 	return false
 }
 
+// Backoff returns the capped exponential delay before retry #attempt
+// (1-based): base, 2·base, 4·base, …, clamped to max. A non-positive base
+// or a shift past max yields max, never an overflowed value.
+func Backoff(base, max time.Duration, attempt int) time.Duration {
+	n := attempt - 1
+	if n < 0 {
+		n = 0
+	}
+	if base <= 0 || n >= 63 || base > max>>n {
+		return max
+	}
+	return base << n
+}
+
 // rule is one armed fault. Pattern fields use "*" as a wildcard.
 type rule struct {
 	kind  Kind

@@ -142,3 +142,27 @@ func TestSlowFaultDelay(t *testing.T) {
 		t.Errorf("slow fault returned after %v, want >= 10ms", d)
 	}
 }
+
+func TestBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	cases := []struct {
+		base, max time.Duration
+		attempt   int
+		want      time.Duration
+	}{
+		{5 * ms, 2 * time.Second, 1, 5 * ms},
+		{5 * ms, 2 * time.Second, 9, 1280 * ms},
+		{5 * ms, 2 * time.Second, 10, 2 * time.Second}, // first capped attempt
+		{5 * ms, 2 * time.Second, 200, 2 * time.Second},
+		{200 * ms, 5 * time.Second, 5, 3200 * ms},
+		{200 * ms, 5 * time.Second, 6, 5 * time.Second},
+		{200 * ms, 5 * time.Second, 200, 5 * time.Second},
+		{50 * ms, 2 * time.Second, 0, 50 * ms},
+		{0, 2 * time.Second, 1, 2 * time.Second},
+	}
+	for _, c := range cases {
+		if got := Backoff(c.base, c.max, c.attempt); got != c.want {
+			t.Errorf("Backoff(%v, %v, %d) = %v, want %v", c.base, c.max, c.attempt, got, c.want)
+		}
+	}
+}

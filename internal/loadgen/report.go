@@ -65,15 +65,16 @@ func SummaryFrom(s *Sketch) LatencySummary {
 }
 
 // ServerSide is the server's own view of the run: the serve.* metric deltas
-// between the pre-run and post-run /metrics scrapes. CoalescingRatio is
-// batched requests per batch — >1 means the batcher merged concurrent
-// requests onto shared cell computations.
+// between the pre-run and post-run /metrics scrapes. BatchedRequests counts
+// requests admitted through the server's gate (serve.batched_requests),
+// Batches the distinct cell computations they needed (serve.batches).
+// CoalescingRatio is their quotient — >1 means concurrent requests shared
+// cell computations.
 type ServerSide struct {
 	Requests        float64 `json:"requests"`
 	FastPathHits    float64 `json:"fastPathHits"`
 	Batches         float64 `json:"batches"`
 	BatchedRequests float64 `json:"batchedRequests"`
-	MaxBatchSize    float64 `json:"maxBatchSize"`
 	CoalescingRatio float64 `json:"coalescingRatio"`
 	Shed            float64 `json:"shed"`
 }

@@ -1,8 +1,9 @@
 // Package serve is the invocation-serving layer: a long-running HTTP/JSON
 // daemon (cmd/ignite-serve) that accepts invocation requests for named
-// functions, coalesces concurrent requests for the same simulation cell
-// onto one batched engine run through the experiment layer's cell cache,
-// and answers with per-invocation latency/CPI/traffic results.
+// functions, admits them onto a bounded set of compute slots in front of
+// the experiment layer's single-flight cell cache (so concurrent requests
+// for one simulation cell share one engine run), and answers with
+// per-invocation latency/CPI/traffic results.
 //
 // This file defines the versioned v1 wire API. Every request and response
 // carries an explicit SchemaVersion; unknown versions are rejected with a
@@ -132,11 +133,8 @@ type InvokeResponse struct {
 	// two requests with the same key are guaranteed identical results.
 	CellKey string `json:"cellKey"`
 	// Cached reports whether the result was served from the warm response
-	// cache (true) or computed by this request's batch (false).
+	// cache or the cell cache (true) or simulated for this request (false).
 	Cached bool `json:"cached"`
-	// BatchSize is the number of concurrent requests coalesced onto this
-	// cell's simulation (present only on freshly computed responses).
-	BatchSize int `json:"batchSize,omitempty"`
 	// Result carries the measured protocol outcome.
 	Result InvocationResult `json:"result"`
 }
@@ -331,9 +329,9 @@ type CatalogResponse struct {
 // MetricsDocument is the /metrics endpoint's JSON form: a versioned,
 // deterministic snapshot of the server's registry.
 type MetricsDocument struct {
-	SchemaVersion int     `json:"schemaVersion"`
-	Kind          string  `json:"kind"`
-	UptimeSec     float64 `json:"uptimeSec"`
+	SchemaVersion int            `json:"schemaVersion"`
+	Kind          string         `json:"kind"`
+	UptimeSec     float64        `json:"uptimeSec"`
 	Samples       []MetricSample `json:"samples"`
 }
 

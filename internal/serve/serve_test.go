@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -93,8 +94,8 @@ func TestTweakSpecToSim(t *testing.T) {
 	}
 	// Geometry the engine would panic on must be rejected at the wire.
 	for _, bad := range []*TweakSpec{
-		{L2KiB: 512},      // 8192 lines not divisible by 20 ways
-		{L2KiB: 400},      // divisible, but 320 sets is not a power of two
+		{L2KiB: 512},       // 8192 lines not divisible by 20 ways
+		{L2KiB: 400},       // divisible, but 320 sets is not a power of two
 		{BTBEntries: 2048}, // not divisible by 6 ways
 		{BTBEntries: 6000}, // divisible, but 1000 sets is not a power of two
 		{MetadataBytes: -1},
@@ -140,36 +141,64 @@ func testSpec(t *testing.T, fn string) experiments.CellSpec {
 	return experiments.CellSpec{Workload: wl, Config: sim.KindIgnite, Mode: lukewarm.Interleaved}
 }
 
-// TestBatcherCoalesces fires concurrent same-cell requests during one
-// max-wait window and asserts they share a single computation.
-func TestBatcherCoalesces(t *testing.T) {
+// newTestGate builds a gate over a fresh cell cache and closes it with the
+// test.
+func newTestGate(t *testing.T, plan *faults.Plan, workers, queue int, reg *obs.Registry) *gate {
+	t.Helper()
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	g := newGate(experiments.NewCellCache(), experiments.CellEnv{}, plan, workers, queue, reg)
+	t.Cleanup(g.Close)
+	return g
+}
+
+// testPlan parses a one-rule fault plan.
+func testPlan(t *testing.T, spec string) *faults.Plan {
+	t.Helper()
+	plan := faults.New(1)
+	if err := plan.Add(spec); err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestGateCoalesces fires concurrent same-cell requests and asserts they
+// share one computation through the cell cache's single-flight.
+func TestGateCoalesces(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := NewBatcher(BatcherConfig{MaxWait: 50 * time.Millisecond, Workers: 1}, reg)
-	defer b.Close()
+	const n = 6
+	g := newTestGate(t, nil, 2, n, reg)
 	spec := testSpec(t, "Auth-G")
 
-	const n = 6
 	var wg sync.WaitGroup
-	sizes := make([]int, n)
+	cells := make([]*experiments.ServedCell, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cell, _, size, envErr := b.Submit(context.Background(), spec)
+			cell, _, envErr := g.Submit(context.Background(), spec)
 			if envErr != nil {
 				t.Errorf("submit %d: %v", i, envErr)
 				return
 			}
-			if cell == nil || cell.Res == nil {
-				t.Errorf("submit %d: empty cell", i)
-			}
-			sizes[i] = size
+			cells[i] = cell
 		}(i)
 	}
 	wg.Wait()
-	for i, size := range sizes {
-		if size != n {
-			t.Errorf("request %d batch size = %d, want %d (all coalesced)", i, size, n)
+	for i, cell := range cells {
+		if cell == nil || cell.Res == nil || cells[0] == nil || cell.Res != cells[0].Res {
+			t.Errorf("request %d did not share the one computed result", i)
 		}
 	}
 	snap := reg.Snapshot().Values()
@@ -179,97 +208,65 @@ func TestBatcherCoalesces(t *testing.T) {
 	if got := snap["serve.batched_requests{component=serve}"]; got != n {
 		t.Errorf("batched requests = %v, want %d", got, n)
 	}
-	if s, ok := reg.Snapshot().Get("serve.batch_size{component=serve}"); !ok || s.Max != n {
-		t.Errorf("batch size max = %+v, want %d", s, n)
+	if cells, _ := g.cache.Stats(); cells != 1 {
+		t.Errorf("cache holds %d cells, want 1", cells)
 	}
 }
 
-// TestBatcherAdmissionControl forces the dispatcher to block on a busy
-// worker pool and asserts the bounded queue sheds the overflow with an
-// overloaded envelope instead of growing.
-func TestBatcherAdmissionControl(t *testing.T) {
-	plan := faults.New(1)
-	if err := plan.Add("slow@serve/*/*:delay=400ms,trips=8"); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatcher(BatcherConfig{
-		Faults:   plan,
-		MaxBatch: 1, // every request is its own batch
-		MaxWait:  time.Millisecond,
-		Queue:    1,
-		Workers:  1,
-	}, nil)
-	defer b.Close()
+// TestGateAdmissionControl fills the one compute slot and the one queue
+// place with slow cells and asserts the next request is shed with a
+// retryable overloaded (429) instead of queuing.
+func TestGateAdmissionControl(t *testing.T) {
+	g := newTestGate(t, testPlan(t, "slow@serve/*/*:delay=500ms"), 1, 1, nil)
 
-	// Distinct functions → distinct cells → distinct batches.
-	fns := []string{"Auth-G", "Curr-N", "Geo-G", "Prof-G"}
-	specs := make([]experiments.CellSpec, 0, len(fns))
-	for _, fn := range fns {
-		specs = append(specs, testSpec(t, fn))
-	}
-
-	results := make(chan *ErrorEnvelope, len(specs))
-	for i, spec := range specs {
-		go func(spec experiments.CellSpec) {
-			_, _, _, envErr := b.Submit(context.Background(), spec)
+	// Distinct functions → distinct cells, each slow on its first attempt.
+	results := make(chan *ErrorEnvelope, 2)
+	for _, fn := range []string{"Auth-G", "Curr-N"} {
+		spec := testSpec(t, fn)
+		go func() {
+			_, _, envErr := g.Submit(context.Background(), spec)
 			results <- envErr
-		}(spec)
-		// Sequence the submissions: the first occupies the worker (slow
-		// fault), the second blocks the dispatcher, the third sits in the
-		// queue, the fourth must shed.
-		if i < len(specs)-1 {
-			time.Sleep(60 * time.Millisecond)
-		}
+		}()
 	}
+	waitFor(t, "two admitted requests", func() bool { return len(g.admit) == 2 })
 
-	var shed int
-	for range specs {
-		if envErr := <-results; envErr != nil {
-			if envErr.Code != CodeOverloaded {
-				t.Errorf("unexpected error: %+v", envErr)
-			} else if !envErr.Retryable {
-				t.Error("overloaded must be retryable")
-			} else {
-				shed++
-			}
-		}
+	_, _, envErr := g.Submit(context.Background(), testSpec(t, "Geo-G"))
+	if envErr == nil || envErr.Code != CodeOverloaded || !envErr.Retryable || envErr.HTTPStatus() != http.StatusTooManyRequests {
+		t.Errorf("third request: got %+v, want retryable overloaded 429", envErr)
 	}
-	if shed == 0 {
-		t.Error("no request was shed by the bounded queue")
+	for i := 0; i < 2; i++ {
+		if envErr := <-results; envErr != nil {
+			t.Errorf("admitted request failed: %+v", envErr)
+		}
 	}
 }
 
-// TestBatcherDeadline submits against a slow cell with an expired budget and
-// expects a retryable deadline envelope.
-func TestBatcherDeadline(t *testing.T) {
-	plan := faults.New(1)
-	if err := plan.Add("slow@serve/*/*:delay=300ms"); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatcher(BatcherConfig{Faults: plan, MaxWait: time.Millisecond}, nil)
-	defer b.Close()
+// TestGateDeadline submits against a slow cell with a short budget, expects
+// a retryable deadline (504), and checks the computation still warmed the
+// cache.
+func TestGateDeadline(t *testing.T) {
+	g := newTestGate(t, testPlan(t, "slow@serve/*/*:delay=300ms"), 1, 0, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, _, envErr := b.Submit(ctx, testSpec(t, "Auth-G"))
-	if envErr == nil || envErr.Code != CodeDeadline || !envErr.Retryable {
-		t.Fatalf("got %+v, want retryable deadline", envErr)
+	_, _, envErr := g.Submit(ctx, testSpec(t, "Auth-G"))
+	if envErr == nil || envErr.Code != CodeDeadline || !envErr.Retryable || envErr.HTTPStatus() != http.StatusGatewayTimeout {
+		t.Fatalf("got %+v, want retryable deadline 504", envErr)
+	}
+	g.Close()
+	if cells, _ := g.cache.Stats(); cells != 1 {
+		t.Errorf("cache holds %d cells after the timed-out request, want 1", cells)
 	}
 }
 
-// TestBatcherRetriesTransient verifies the serving path reuses the
-// transient-retry discipline: an injected transient fault is retried and the
-// request still succeeds.
-func TestBatcherRetriesTransient(t *testing.T) {
-	plan := faults.New(1)
-	if err := plan.Add("transient@serve/Auth-G/ignite"); err != nil {
-		t.Fatal(err)
-	}
+// TestGateRetriesTransient verifies the serving path reuses the
+// transient-retry discipline: an injected transient fault is retried once
+// and the request still succeeds.
+func TestGateRetriesTransient(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := NewBatcher(BatcherConfig{Faults: plan, MaxWait: time.Millisecond, Backoff: time.Millisecond}, reg)
-	defer b.Close()
+	g := newTestGate(t, testPlan(t, "transient@serve/Auth-G/ignite"), 1, 0, reg)
 
-	cell, _, _, envErr := b.Submit(context.Background(), testSpec(t, "Auth-G"))
+	cell, _, envErr := g.Submit(context.Background(), testSpec(t, "Auth-G"))
 	if envErr != nil {
 		t.Fatalf("submit: %v", envErr)
 	}
@@ -281,12 +278,20 @@ func TestBatcherRetriesTransient(t *testing.T) {
 	}
 }
 
-// TestBatcherCloseDrains submits in-flight work, closes, and asserts every
-// admitted request was answered and later submits are refused.
-func TestBatcherCloseDrains(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxWait: 20 * time.Millisecond}, nil)
-	spec := testSpec(t, "Auth-G")
+// TestGateCloseDrains closes the gate with admitted work outstanding —
+// including a computation that outlives its own request's 504 — and asserts
+// every admitted request was answered and later submits are refused.
+func TestGateCloseDrains(t *testing.T) {
+	reg := obs.NewRegistry()
+	g := newTestGate(t, testPlan(t, "slow@serve/Curr-N/*:delay=300ms"), 2, 8, reg)
 
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, _, envErr := g.Submit(ctx, testSpec(t, "Curr-N")); envErr == nil || envErr.Code != CodeDeadline {
+		t.Fatalf("slow request: got %+v, want deadline", envErr)
+	}
+
+	spec := testSpec(t, "Auth-G")
 	const n = 4
 	var wg sync.WaitGroup
 	errs := make([]*ErrorEnvelope, n)
@@ -294,19 +299,58 @@ func TestBatcherCloseDrains(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, _, errs[i] = b.Submit(context.Background(), spec)
+			_, _, errs[i] = g.Submit(context.Background(), spec)
 		}(i)
 	}
-	time.Sleep(5 * time.Millisecond) // let the submissions reach the queue
-	b.Close()
+	waitFor(t, "every request admitted", func() bool {
+		return reg.Snapshot().Values()["serve.batched_requests{component=serve}"] == n+1
+	})
+	g.Close()
 	wg.Wait()
 	for i, envErr := range errs {
 		if envErr != nil {
 			t.Errorf("admitted request %d not drained: %v", i, envErr)
 		}
 	}
-	if _, _, _, envErr := b.Submit(context.Background(), spec); envErr == nil || envErr.Code != CodeShuttingDown {
+	if cells, _ := g.cache.Stats(); cells != 2 {
+		t.Errorf("cache holds %d cells after Close, want 2 (the timed-out computation finished)", cells)
+	}
+	if _, _, envErr := g.Submit(context.Background(), spec); envErr == nil || envErr.Code != CodeShuttingDown {
 		t.Errorf("post-close submit: %+v, want shutting-down", envErr)
+	}
+}
+
+// TestServerDefaultWorkers pins the -parallel contract: zero compute slots
+// in Config means one per CPU.
+func TestServerDefaultWorkers(t *testing.T) {
+	s := NewServer(Config{})
+	if got := cap(s.gate.slots); got != runtime.NumCPU() {
+		t.Errorf("compute slots = %d, want NumCPU = %d", got, runtime.NumCPU())
+	}
+}
+
+// TestShutdownWithoutListener pins that Shutdown returns for a server that
+// never served: Start not called, or Start failed to listen.
+func TestShutdownWithoutListener(t *testing.T) {
+	failed := NewServer(Config{Addr: "127.0.0.1:-1"})
+	if err := failed.Start(); err == nil {
+		t.Fatal("listening on port -1 succeeded")
+	}
+	for name, s := range map[string]*Server{"never started": NewServer(Config{}), "start failed": failed} {
+		done := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			done <- s.Shutdown(ctx)
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: shutdown: %v", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: Shutdown still blocked after 2s", name)
+		}
 	}
 }
 
@@ -347,12 +391,12 @@ func postInvoke(t *testing.T, addr string, body string) (*http.Response, []byte)
 }
 
 // TestServerIntegration drives the full stack: mixed-function concurrent
-// requests on an ephemeral port, coalescing visible in the batch-size
-// metric, responses bit-identical to a direct lukewarm run of the same
-// cell, and a live /metrics scrape racing the whole thing (this test is the
-// -race proof for the serving path).
+// requests on an ephemeral port, coalescing visible in the gate's
+// requests-per-computation ratio, responses bit-identical to a direct
+// lukewarm run of the same cell, and a live /metrics scrape racing the whole
+// thing (this test is the -race proof for the serving path).
 func TestServerIntegration(t *testing.T) {
-	s := startTestServer(t, Config{MaxWait: 40 * time.Millisecond})
+	s := startTestServer(t, Config{})
 	addr := s.Addr()
 
 	// Scrape /metrics concurrently with the request storm.
@@ -456,13 +500,6 @@ func TestServerIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchSize, ok := doc.Get("serve.batch_size{component=serve}")
-	if !ok {
-		t.Fatal("batch-size metric missing from /metrics")
-	}
-	if batchSize.Max < 2 {
-		t.Errorf("max batch size = %v, want >= 2 (no coalescing happened)", batchSize.Max)
-	}
 	batches := doc.Value("serve.batches{component=serve}")
 	batched := doc.Value("serve.batched_requests{component=serve}")
 	if batches == 0 || batched/batches <= 1 {
@@ -519,6 +556,59 @@ func TestServerFastPathAndErrors(t *testing.T) {
 		if err := json.Unmarshal(data, &env); err != nil || env.Code != c.code {
 			t.Errorf("%s: envelope %s (err %v), want code %s", c.body, data, err, c.code)
 		}
+	}
+}
+
+// TestServerPanicIsolation injects a panic on the serving path: the
+// request gets a non-retryable internal error, the daemon keeps answering,
+// the panic is never memoized, and the next request computes the same
+// result a fault-free server does.
+func TestServerPanicIsolation(t *testing.T) {
+	s := startTestServer(t, Config{Faults: testPlan(t, "panic@serve/Auth-G/ignite:trips=1")})
+	body := `{"schemaVersion":1,"function":"Auth-G","config":"ignite"}`
+
+	resp, data := postInvoke(t, s.Addr(), body)
+	var env ErrorEnvelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatalf("decode envelope %s: %v", data, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || env.Code != CodeInternal || env.Retryable {
+		t.Fatalf("panicking request: %d %+v, want 500 internal, not retryable", resp.StatusCode, env)
+	}
+	if cells, hits := s.cache.Stats(); cells != 0 || hits != 0 {
+		t.Errorf("after the panic: %d cells, %d hits, want none", cells, hits)
+	}
+
+	health, err := http.Get("http://" + s.Addr() + PathHealthz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("healthz after panic = %d", health.StatusCode)
+	}
+
+	resp, data = postInvoke(t, s.Addr(), body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after panic: %d %s", resp.StatusCode, data)
+	}
+	var got, want InvokeResponse
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	clean := startTestServer(t, Config{})
+	resp, data = postInvoke(t, clean.Addr(), body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fault-free server: %d %s", resp.StatusCode, data)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got.Cached || !reflect.DeepEqual(got.Result, want.Result) {
+		t.Errorf("result after panic (cached %v) differs from a fault-free server's", got.Cached)
+	}
+	if cells, hits := s.cache.Stats(); cells != 1 || hits != 0 {
+		t.Errorf("after recovery: %d cells, %d hits, want 1 computed cell", cells, hits)
 	}
 }
 

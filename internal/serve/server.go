@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,23 +51,22 @@ type Config struct {
 	// applies to population cells the same way.
 	Population []workload.Spec
 
-	// Batching/admission knobs (zero = defaults; see batcher.go).
-	MaxBatch int
-	MaxWait  time.Duration
-	Queue    int
-	Workers  int
-	Retries  int
-	Backoff  time.Duration
+	// Workers is the number of concurrent cell computations
+	// (0 = runtime.NumCPU()).
+	Workers int
+	// Queue is how many admitted requests may wait for a compute slot;
+	// past it requests are shed with 429 (0 = 1024).
+	Queue int
 
 	// RequestTimeout is the default per-request deadline; a request's
 	// timeoutMs may shorten or extend it up to 5 minutes.
 	RequestTimeout time.Duration
 }
 
-// Server is the invocation-serving daemon: HTTP handlers in front of a
-// coalescing Batcher in front of the experiment layer's cell cache.
+// Server is the invocation-serving daemon: HTTP handlers in front of an
+// admission gate in front of the experiment layer's cell cache.
 //
-// The hot path never reaches the batcher: every successful response body is
+// The hot path never reaches the gate: every successful response body is
 // remembered under its request body, so a repeated request (the steady state
 // of a load test hammering one warm function) costs one map lookup and one
 // write. Cells are pure functions of their key, which is what makes the
@@ -74,7 +74,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	reg      *obs.Registry
-	batcher  *Batcher
+	gate     *gate
 	cache    *experiments.CellCache
 	start    time.Time
 	draining atomic.Bool
@@ -109,6 +109,12 @@ func NewServer(cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = defaultRequestTimeout
 	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.NumCPU()
+	}
+	if cfg.Queue <= 0 {
+		cfg.Queue = defaultQueueSize
+	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -118,17 +124,9 @@ func NewServer(cfg Config) *Server {
 		cfg:   cfg,
 		reg:   reg,
 		cache: cache,
-		batcher: NewBatcher(BatcherConfig{
-			Cache:    cache,
-			Env:      experiments.CellEnv{Tracer: cfg.Tracer, Checks: cfg.Checks, MaxCycles: cfg.MaxCycles},
-			Faults:   cfg.Faults,
-			MaxBatch: cfg.MaxBatch,
-			MaxWait:  cfg.MaxWait,
-			Queue:    cfg.Queue,
-			Workers:  cfg.Workers,
-			Retries:  cfg.Retries,
-			Backoff:  cfg.Backoff,
-		}, reg),
+		gate: newGate(cache,
+			experiments.CellEnv{Tracer: cfg.Tracer, Checks: cfg.Checks, MaxCycles: cfg.MaxCycles},
+			cfg.Faults, cfg.Workers, cfg.Queue, reg),
 		start:  time.Now(),
 		served: make(chan error, 1),
 	}
@@ -187,13 +185,17 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains the daemon: stop accepting connections, wait for in-flight
-// handlers (they need the batcher alive), then drain the batcher's pending
-// batches. This ordering is what makes SIGTERM lossless — every admitted
-// request is answered before the process exits.
+// handlers (they need the gate open), then wait for every admitted
+// computation. This ordering is what makes SIGTERM lossless — every admitted
+// request is answered before the process exits. A server that never
+// listened (Start not called, or failed) has no serve loop to wait for.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	err := s.http.Shutdown(ctx)
-	s.batcher.Close()
+	s.gate.Close()
+	if s.listener == nil {
+		return err
+	}
 	if serveErr := <-s.served; serveErr != nil && err == nil {
 		err = serveErr
 	}
@@ -258,7 +260,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		fmt.Errorf("request exceeded its %s deadline", timeout))
 	defer cancel()
 
-	cell, cached, batchSize, envErr := s.batcher.Submit(ctx, spec)
+	cell, cached, envErr := s.gate.Submit(ctx, spec)
 	if envErr != nil {
 		s.writeError(w, envErr)
 		return
@@ -271,7 +273,6 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		Mode:          req.Mode,
 		CellKey:       cell.Key,
 		Cached:        cached,
-		BatchSize:     batchSize,
 		Result:        ResultFrom(cell.Res),
 	}
 	if resp.Mode == "" {
@@ -288,7 +289,6 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	// Remember the warm variant for subsequent identical requests.
 	warm := resp
 	warm.Cached = true
-	warm.BatchSize = 0
 	if wenc, err := json.Marshal(warm); err == nil {
 		s.respCache.Store(string(body), wenc)
 	}

@@ -6,6 +6,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# named_pass [GO_TEST_FLAGS...] -- PATTERN PKG...: run the tests PATTERN
+# selects, after checking that each |-separated alternative (its top-level
+# part, before any /) names at least one test in PKG... — go test passes
+# silently when -run matches nothing, so a renamed test would otherwise drop
+# out of its named pass unnoticed.
+named_pass() {
+  local flags=()
+  while [ "$1" != "--" ]; do flags+=("$1"); shift; done
+  shift
+  local pattern="$1"; shift
+  local listed alt alts
+  listed="$(go test -list . "$@")"
+  IFS='|' read -ra alts <<<"$pattern"
+  for alt in "${alts[@]}"; do
+    if ! grep -E '^Test' <<<"$listed" | grep -Eq -- "${alt%%/*}"; then
+      echo "ci: -run alternative '$alt' matches no test in $*" >&2
+      return 1
+    fi
+  done
+  go test "${flags[@]}" -run "$pattern" "$@"
+}
+
 go build ./...
 go vet ./...
 # The full suite simulates hundreds of (workload, config) cells; under the
@@ -58,36 +80,37 @@ go test -run '^$' -bench=. -benchtime=1x -benchmem ./internal/engine ./internal/
 # the scratch-buffer handoff the experiment scheduler's worker pool recycles
 # through a sync.Pool. The -race sweep above already covers these; the named
 # pass keeps the hot-path refactor visible on its own.
-go test -race -run 'TestBatchedInvocationAllocs|TestScratchHandoff|TestProperties/batch-equivalence' \
+named_pass -race -- 'TestBatchedInvocationAllocs|TestScratchHandoff|TestProperties/batch-equivalence' \
   ./internal/engine ./internal/check/props
-go test -race -run 'TestScheduler' ./internal/experiments
+named_pass -race -- 'TestScheduler' ./internal/experiments
 
 # Ablation side caches under the race detector, by name: the ablations run
 # their cells on the scheduler through side caches that share the sweep
 # cache's program and trace memos across goroutines. The goldens pin their
 # documents serially and on a wide pool; the isolation test pins that the
 # shared cache's Stats (and so every manifest) never see their cells.
-go test -race -run 'TestGoldenAblationDocuments|TestAblationsStayOutOfSharedCache' ./internal/experiments
+named_pass -race -- 'TestGoldenAblationDocuments|TestAblationsStayOutOfSharedCache' ./internal/experiments
 
 # Mutation smoke: break every invariant on purpose and prove the checker
 # fires, then run the metamorphic properties (the -race sweep above already
 # covers these; this named pass keeps the verifier's own health visible even
 # if the suite layout changes).
-go test -run 'TestMutationSmoke|TestVerifyResult' ./internal/check
-go test -run TestProperties ./internal/check/props
+named_pass -- 'TestMutationSmoke|TestVerifyResult' ./internal/check
+named_pass -- TestProperties ./internal/check/props
 
 # Chaos pass: the full experiment sweep under the canonical smoke fault plan
 # (one panic, one transient, one slow cell) plus the scheduler chaos tests. The -race sweep above already runs these; the named pass keeps the
 # fault-tolerance path visible on its own and honors a custom IGNITE_FAULTS.
-IGNITE_FAULTS=smoke go test ./internal/experiments -run Chaos
+IGNITE_FAULTS=smoke named_pass -- Chaos ./internal/experiments
 
 # Serving smoke: boot the daemon on an ephemeral-ish port with tiny cells,
 # drive one low-RPS ignite-load burst (strict: any non-2xx fails the build),
 # then SIGTERM the daemon and require a clean drain (exit 0). The serve race
-# pass by name keeps the batcher/scrape path visible on its own.
+# pass by name keeps the admission gate, panic isolation and scrape paths
+# visible on their own.
 go build -o "$smoke/ignite-serve" ./cmd/ignite-serve
 go build -o "$smoke/ignite-load" ./cmd/ignite-load
-go test -race -run 'TestServerIntegration|TestBatcher|TestInstrumentsConcurrentScrape' \
+named_pass -race -- 'TestServerIntegration|TestGate|TestServerPanicIsolation|TestShutdownWithoutListener|TestInstrumentsConcurrentScrape' \
   ./internal/serve ./internal/obs
 (
   cd "$smoke"
@@ -114,7 +137,7 @@ go test -race -run 'TestServerIntegration|TestBatcher|TestInstrumentsConcurrentS
 # same seed, same bytes). The named -race pass keeps the fleet packages'
 # concurrency story (parallel-independent sampling) visible on its own.
 go build -o "$smoke/ignite-fleet" ./cmd/ignite-fleet
-go test -race -run 'TestSamplerDeterminism|TestMarketDeterminism|TestFleetFrontierParallelIndependence' \
+named_pass -race -- 'TestSamplerDeterminism|TestMarketDeterminism|TestFleetFrontierParallelIndependence' \
   ./internal/fleet/... ./internal/experiments
 (
   cd "$smoke"
@@ -164,9 +187,9 @@ go test -race ./internal/dist
 # baseline and a store that reseals to the same Merkle root warm. The named
 # -race passes keep the breaker/prober/hedge/supervisor paths and the full
 # chaos harness visible on their own.
-go test -race -run 'TestSupervisorRestartsWorker|TestProberReadmitsRestartedWorker|TestHedgedDispatch|TestTaskCancelNotWorkerFault|TestWorkerDrainShedsInFlightFailover' \
+named_pass -race -- 'TestSupervisorRestartsWorker|TestProberReadmitsRestartedWorker|TestHedgedDispatch|TestTaskCancelNotWorkerFault|TestWorkerDrainShedsInFlightFailover' \
   ./internal/dist
-go test -race -run 'TestChaosSweepByteIdentical' -timeout 10m ./internal/chaos
+named_pass -race -timeout 10m -- 'TestChaosSweepByteIdentical' ./internal/chaos
 (
   cd "$smoke"
   # All 20 workloads (40 cells, a few seconds of sweep) so the SIGKILL
