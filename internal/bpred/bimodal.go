@@ -36,6 +36,9 @@ type Bimodal struct {
 	// version increments on every counter mutation; TAGE's lookup memo uses
 	// it to detect that a cached base prediction may have gone stale.
 	version uint64
+	// pcg is Randomize's source, reseeded in place so a thrash allocates
+	// nothing.
+	pcg rand.PCG
 }
 
 // BimodalStats counts predictions made while the bimodal was the effective
@@ -109,12 +112,14 @@ func (b *Bimodal) Flush() {
 }
 
 // Randomize overwrites the table with random counter states, the lukewarm
-// methodology of the paper's Section 5.3.
+// methodology of the paper's Section 5.3. Uint64()&3 is rand.Rand.UintN(4)
+// bit for bit on 64-bit platforms (a power-of-two bound is a mask there),
+// without the Rand wrapper and its per-draw interface call.
 func (b *Bimodal) Randomize(seed uint64) {
 	b.version++
-	rng := rand.New(rand.NewPCG(seed, seed^0xa5a5a5a5deadbeef))
+	b.pcg.Seed(seed, seed^0xa5a5a5a5deadbeef)
 	for i := range b.ctr {
-		b.ctr[i] = uint8(rng.UintN(4))
+		b.ctr[i] = uint8(b.pcg.Uint64() & 3)
 		b.restored[i] = false
 	}
 }

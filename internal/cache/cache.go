@@ -69,18 +69,24 @@ type Stats struct {
 // timestamp in the low 32. The set scan (tag match) and the victim scan
 // (min timestamp) therefore read the same dense row of words — for an 8-way
 // set that is a single host cache line instead of three. tagEmpty32 marks an
-// invalid way; locate rejects addresses whose tag would reach the sentinel.
+// invalid way; locate maps a probe whose tag would equal the sentinel to
+// tagNever, which no stored word matches, and fill rejects such addresses.
 const (
 	tagEmpty32 = ^uint32(0)
 	emptyWord  = uint64(tagEmpty32) << 32
-	maxTick    = ^uint32(0) - 1 // renormalize before the timestamp can wrap
+	tagNever   = uint64(1) << 32 // wider than any stored tag, emptyWord's included
+	maxTick    = ^uint32(0) - 1  // renormalize before the timestamp can wrap
 )
 
 // Line metadata is packed into one byte per way: the low two bits hold the
-// Provenance, bit 2 the demand-touched flag.
+// Provenance, bit 2 the demand-touched flag, bit 3 whether the way is on the
+// filled list Flush walks. A way enters the list on its first fill after a
+// flush and keeps the bit through evictions and invalidations, so the list
+// holds each way at most once and never outgrows the cache.
 const (
-	metaProvMask = 0b011
-	metaTouched  = 0b100
+	metaProvMask = 0b0011
+	metaTouched  = 0b0100
+	metaListed   = 0b1000
 )
 
 // Cache is a single set-associative, LRU, write-allocate cache level. The
@@ -93,7 +99,8 @@ type Cache struct {
 	setBits  uint // log2(sets), hoisted out of the per-access tag math
 	setMask  uint64
 	pk       []uint64 // sets*ways, set-major: tag<<32 | lastUse
-	meta     []uint8  // provenance + touched bits, parallel to pk
+	meta     []uint8  // provenance, touched and listed bits, parallel to pk
+	filled   []uint32 // ways filled since the last Flush (see metaListed)
 	tick     uint32
 	stats    Stats
 }
@@ -156,9 +163,15 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 // is returned as uint64 so a probe whose tag exceeds 32 bits compares not-
 // equal against every stored (32-bit) tag instead of aliasing by truncation;
 // fill rejects such addresses outright, so they can never become resident.
+// A tag equal to the empty sentinel would match every invalid way, so it is
+// widened to tagNever.
 func (c *Cache) locate(addr uint64) (base int, tag uint64) {
 	lineIdx := addr >> c.lineBits
-	return int(lineIdx&c.setMask) * c.ways, lineIdx >> c.setBits
+	tag = lineIdx >> c.setBits
+	if tag == uint64(tagEmpty32) {
+		tag = tagNever
+	}
+	return int(lineIdx&c.setMask) * c.ways, tag
 }
 
 // nextTick advances the LRU clock. When the 32-bit timestamp space is about
@@ -236,6 +249,41 @@ func (c *Cache) Access(addr uint64, demand bool) AccessResult {
 	return AccessResult{}
 }
 
+// AccessFill is a demand Access that, on a miss, fills addr with prov into
+// the victim the same scan found: Access then InsertAbsent in one pass over
+// the set. The eviction reports the line the fill displaced, if any.
+func (c *Cache) AccessFill(addr uint64, prov Provenance) (AccessResult, Eviction, bool) {
+	base, tag := c.locate(addr)
+	ps := c.pk[base : base+c.ways]
+	c.stats.Accesses.Inc()
+	// An invalid way's timestamp reads 0 and a valid one's at least 1, so
+	// the strictly-oldest scan picks the first invalid way when there is
+	// one — fill's selection order.
+	victim, oldest := 0, ^uint32(0)
+	for i, w := range ps {
+		if w>>32 == tag {
+			// Access's demand hit, kept inline like it: a call here costs
+			// measurable time on the hottest path.
+			c.stats.Hits.Inc()
+			ps[i] = tag<<32 | uint64(c.nextTick())
+			m := c.meta[base+i]
+			prov := Provenance(m & metaProvMask)
+			first := m&metaTouched == 0 && prov != ProvDemand
+			if first {
+				c.stats.PrefetchUseful.Inc()
+			}
+			c.meta[base+i] = m | metaTouched
+			return AccessResult{Hit: true, FirstTouch: first, Prov: prov}, Eviction{}, false
+		}
+		if uint32(w) < oldest {
+			oldest, victim = uint32(w), i
+		}
+	}
+	c.stats.Misses.Inc()
+	ev, ok := c.place(addr, base, victim, tag, c.nextTick(), prov)
+	return AccessResult{}, ev, ok
+}
+
 // Contains reports whether addr is resident without disturbing any state.
 func (c *Cache) Contains(addr uint64) bool {
 	base, tag := c.locate(addr)
@@ -266,7 +314,8 @@ func (c *Cache) Insert(addr uint64, prov Provenance) (Eviction, bool) {
 		if ps[i]>>32 == tag {
 			ps[i] = tag<<32 | uint64(tick)
 			if prov == ProvDemand {
-				c.meta[base+i] = uint8(ProvDemand) | metaTouched
+				// A resident way is always listed.
+				c.meta[base+i] = uint8(ProvDemand) | metaTouched | metaListed
 			}
 			return Eviction{}, false
 		}
@@ -286,9 +335,6 @@ func (c *Cache) InsertAbsent(addr uint64, prov Provenance) (Eviction, bool) {
 // full (first invalid way wins, then strictly-oldest timestamp — the same
 // selection order as the original two-pass scan).
 func (c *Cache) fill(addr uint64, base int, tag uint64, tick uint32, prov Provenance) (Eviction, bool) {
-	if tag >= uint64(tagEmpty32) {
-		panic(fmt.Sprintf("cache %s: address %#x out of the 32-bit tag range", c.cfg.Name, addr))
-	}
 	ps := c.pk[base : base+c.ways]
 	victim := 0
 	var oldest uint32 = ^uint32(0)
@@ -296,7 +342,6 @@ func (c *Cache) fill(addr uint64, base int, tag uint64, tick uint32, prov Proven
 		w := ps[i]
 		if w == emptyWord {
 			victim = i
-			oldest = 0
 			break
 		}
 		if uint32(w) < oldest {
@@ -304,13 +349,23 @@ func (c *Cache) fill(addr uint64, base int, tag uint64, tick uint32, prov Proven
 			victim = i
 		}
 	}
+	return c.place(addr, base, victim, tag, tick, prov)
+}
+
+// place writes addr into way base+victim, evicting its current line (if
+// any) and listing the way for Flush on its first fill since the last one.
+func (c *Cache) place(addr uint64, base, victim int, tag uint64, tick uint32, prov Provenance) (Eviction, bool) {
+	if tag >= uint64(tagEmpty32) {
+		panic(fmt.Sprintf("cache %s: address %#x out of the 32-bit tag range", c.cfg.Name, addr))
+	}
+	w := base + victim
 	ev := Eviction{}
 	hadEv := false
-	if w := ps[victim]; w != emptyWord {
+	if old := c.pk[w]; old != emptyWord {
 		hadEv = true
-		m := c.meta[base+victim]
+		m := c.meta[w]
 		setIdx := (addr >> c.lineBits) & c.setMask
-		evLineIdx := (w>>32)<<c.setBits | setIdx
+		evLineIdx := (old>>32)<<c.setBits | setIdx
 		ev = Eviction{
 			LineAddr: evLineIdx << c.lineBits,
 			Prov:     Provenance(m & metaProvMask),
@@ -321,29 +376,35 @@ func (c *Cache) fill(addr uint64, base int, tag uint64, tick uint32, prov Proven
 			c.stats.PrefetchUnused.Inc()
 		}
 	}
-	ps[victim] = tag<<32 | uint64(tick)
-	m := uint8(prov)
+	c.pk[w] = tag<<32 | uint64(tick)
+	if c.meta[w]&metaListed == 0 {
+		c.filled = append(c.filled, uint32(w))
+	}
+	m := uint8(prov) | metaListed
 	if prov == ProvDemand {
 		m |= metaTouched
 	}
-	c.meta[base+victim] = m
+	c.meta[w] = m
 	c.stats.Inserts.Inc()
 	return ev, hadEv
 }
 
 // Flush invalidates every line, modeling thrashing by interleaved
-// executions. Untouched prefetched lines are counted as unused.
+// executions. Untouched prefetched lines are counted as unused. Only the
+// ways filled since the last flush can hold a line, so only they are
+// visited: a thrash costs what the invocation touched, not the capacity.
 func (c *Cache) Flush() {
-	for i := range c.pk {
+	for _, i := range c.filled {
 		if c.pk[i] != emptyWord {
 			m := c.meta[i]
 			if m&metaTouched == 0 && Provenance(m&metaProvMask) != ProvDemand {
 				c.stats.PrefetchUnused.Inc()
 			}
+			c.pk[i] = emptyWord
 		}
-		c.pk[i] = emptyWord
 		c.meta[i] = 0
 	}
+	c.filled = c.filled[:0]
 	c.tick = 0
 }
 
@@ -379,7 +440,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 				c.stats.PrefetchUnused.Inc()
 			}
 			ps[i] = emptyWord
-			c.meta[base+i] = 0
+			c.meta[base+i] = metaListed // the way stays on the filled list
 			return true
 		}
 	}

@@ -5,6 +5,10 @@ import "ignite/internal/stats"
 // LineBytesConst is the line size used throughout the hierarchy.
 const LineBytesConst = 64
 
+// DefaultL2Bytes is Table 2's private L2 capacity, the size DefaultHierarchy
+// builds.
+const DefaultL2Bytes = 1280 << 10
+
 // Level identifies a position in the hierarchy.
 type Level uint8
 
@@ -144,7 +148,7 @@ func DefaultHierarchy(tracker Tracker) *Hierarchy {
 	return &Hierarchy{
 		L1I:     MustNew(Config{Name: "L1I", SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitLatency: 1}),
 		L1D:     MustNew(Config{Name: "L1D", SizeBytes: 48 << 10, LineBytes: 64, Ways: 12, HitLatency: 4}),
-		L2:      MustNew(Config{Name: "L2", SizeBytes: 1280 << 10, LineBytes: 64, Ways: 20, HitLatency: 13}),
+		L2:      MustNew(Config{Name: "L2", SizeBytes: DefaultL2Bytes, LineBytes: 64, Ways: 20, HitLatency: 13}),
 		LLC:     MustNew(Config{Name: "LLC", SizeBytes: 8 << 20, LineBytes: 64, Ways: 16, HitLatency: 50}),
 		Lat:     DefaultLatencies(),
 		tracker: tracker,
@@ -163,16 +167,26 @@ func (h *Hierarchy) SetTracker(t Tracker) { h.tracker = t }
 // whose hits never refresh its L2 recency — could outlive its L2 copy,
 // silently breaking the inclusion law the paper's hierarchy assumes.
 func (h *Hierarchy) insertL2(la uint64, prov Provenance) {
-	if ev, ok := h.L2.Insert(la, prov); ok {
-		h.L1I.Invalidate(ev.LineAddr)
-		h.L1D.Invalidate(ev.LineAddr)
-	}
+	h.backInvalidate(h.L2.Insert(la, prov))
 }
 
 // insertL2Absent is insertL2 for a line just proven absent from the L2 (a
 // missed L2 access or failed Contains with no intervening L2 insert).
 func (h *Hierarchy) insertL2Absent(la uint64, prov Provenance) {
-	if ev, ok := h.L2.InsertAbsent(la, prov); ok {
+	h.backInvalidate(h.L2.InsertAbsent(la, prov))
+}
+
+// accessFillL2 is a demand L2 access that fills the line on a miss (see
+// insertL2). It reports whether the access hit.
+func (h *Hierarchy) accessFillL2(la uint64, prov Provenance) bool {
+	res, ev, evicted := h.L2.AccessFill(la, prov)
+	h.backInvalidate(ev, evicted)
+	return res.Hit
+}
+
+// backInvalidate drops the L1 copies of a line the L2 evicted.
+func (h *Hierarchy) backInvalidate(ev Eviction, evicted bool) {
+	if evicted {
 		h.L1I.Invalidate(ev.LineAddr)
 		h.L1D.Invalidate(ev.LineAddr)
 	}
@@ -205,36 +219,25 @@ func (h *Hierarchy) FetchInstr(addr uint64, wrongPath bool) (lat int, lvl Level,
 	h.stats.InstrL1Misses.Inc()
 	prov := provFor(src)
 
-	if res := h.L2.Access(la, true); res.Hit {
-		h.L1I.InsertAbsent(la, prov)
-		if !wrongPath && h.tracker != nil {
-			h.tracker.DemandTouch(la)
-		}
-		return h.Lat.L2, LvlL2, false
-	}
-	h.stats.InstrL2Misses.Inc()
-
-	if res := h.LLC.Access(la, true); res.Hit {
-		h.insertL2Absent(la, prov)
-		h.L1I.InsertAbsent(la, prov)
-		if !wrongPath && h.tracker != nil {
-			h.tracker.DemandTouch(la)
-		}
-		return h.Lat.LLC, LvlLLC, false
-	}
-	h.stats.InstrLLCMisses.Inc()
-
-	// DRAM.
-	if h.tracker != nil {
-		h.tracker.MemFetch(la, src)
-		if !wrongPath {
-			h.tracker.DemandTouch(la)
+	// A miss at each outer level fills it as it goes; the L2's
+	// back-invalidation lands before the L1 fill, as inclusion requires.
+	lat, lvl = h.Lat.L2, LvlL2
+	if !h.accessFillL2(la, prov) {
+		h.stats.InstrL2Misses.Inc()
+		lat, lvl = h.Lat.LLC, LvlLLC
+		if res, _, _ := h.LLC.AccessFill(la, prov); !res.Hit {
+			h.stats.InstrLLCMisses.Inc()
+			lat, lvl = h.Lat.Mem, LvlMem
+			if h.tracker != nil {
+				h.tracker.MemFetch(la, src)
+			}
 		}
 	}
-	h.LLC.InsertAbsent(la, prov)
-	h.insertL2Absent(la, prov)
 	h.L1I.InsertAbsent(la, prov)
-	return h.Lat.Mem, LvlMem, false
+	if !wrongPath && h.tracker != nil {
+		h.tracker.DemandTouch(la)
+	}
+	return lat, lvl, false
 }
 
 // PrefetchInstr brings the line containing addr into level `into` (and the
@@ -299,23 +302,19 @@ func (h *Hierarchy) AccessData(addr uint64) (lat int, lvl Level) {
 		return h.Lat.L1D, LvlL1D
 	}
 	h.stats.DataL1Misses.Inc()
-	if res := h.L2.Access(la, true); res.Hit {
-		h.L1D.InsertAbsent(la, ProvDemand)
-		return h.Lat.L2, LvlL2
+	lat, lvl = h.Lat.L2, LvlL2
+	if !h.accessFillL2(la, ProvDemand) {
+		lat, lvl = h.Lat.LLC, LvlLLC
+		if res, _, _ := h.LLC.AccessFill(la, ProvDemand); !res.Hit {
+			h.stats.DataLLCMisses.Inc()
+			lat, lvl = h.Lat.Mem, LvlMem
+			if h.tracker != nil {
+				h.tracker.MemFetch(la, SrcData)
+			}
+		}
 	}
-	if res := h.LLC.Access(la, true); res.Hit {
-		h.insertL2Absent(la, ProvDemand)
-		h.L1D.InsertAbsent(la, ProvDemand)
-		return h.Lat.LLC, LvlLLC
-	}
-	h.stats.DataLLCMisses.Inc()
-	if h.tracker != nil {
-		h.tracker.MemFetch(la, SrcData)
-	}
-	h.LLC.InsertAbsent(la, ProvDemand)
-	h.insertL2Absent(la, ProvDemand)
 	h.L1D.InsertAbsent(la, ProvDemand)
-	return h.Lat.Mem, LvlMem
+	return lat, lvl
 }
 
 // PrefetchData brings a data line into L1D/L2 on behalf of the baseline

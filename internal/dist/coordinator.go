@@ -152,14 +152,19 @@ type taskResult struct {
 
 // complete finishes the task exactly once: later calls are no-ops. The
 // winning result lands in the buffered done channel and every other
-// in-flight attempt is canceled.
-func (t *task) complete(p experiments.CellPayload, err error) bool {
+// in-flight attempt is canceled. won, when non-nil, runs for the winning
+// call before the result is delivered, so what it counts is visible to the
+// waiter as soon as its RemoteFunc call returns.
+func (t *task) complete(p experiments.CellPayload, err error, won func()) {
 	t.mu.Lock()
 	if t.completed {
 		t.mu.Unlock()
-		return false
+		return
 	}
 	t.completed = true
+	if won != nil {
+		won()
+	}
 	t.done <- taskResult{payload: p, err: err} // buffered; never blocks
 	cancels := make([]context.CancelFunc, 0, len(t.inflight))
 	for _, fn := range t.inflight {
@@ -169,7 +174,6 @@ func (t *task) complete(p experiments.CellPayload, err error) bool {
 	for _, fn := range cancels {
 		fn()
 	}
-	return true
 }
 
 func (t *task) isCompleted() bool {
@@ -387,7 +391,7 @@ func (c *Coordinator) Close() {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	for _, t := range orphans {
-		t.complete(experiments.CellPayload{}, fmt.Errorf("dist: coordinator closed"))
+		t.complete(experiments.CellPayload{}, fmt.Errorf("dist: coordinator closed"), nil)
 	}
 	c.wg.Wait()
 }
@@ -613,7 +617,7 @@ func (c *Coordinator) attempt(t *task, i int, w *workerState) {
 	if t.ctx != nil && t.ctx.Err() != nil {
 		// Task-owned before the wire was touched.
 		w.br.releaseAttempt()
-		t.complete(experiments.CellPayload{}, t.ctx.Err())
+		t.complete(experiments.CellPayload{}, t.ctx.Err(), nil)
 		return
 	}
 	actx, cancel, isHedge := t.beginAttempt(i)
@@ -638,12 +642,12 @@ func (c *Coordinator) attempt(t *task, i int, w *workerState) {
 			c.kick()
 		}
 		w.tasks.Inc()
-		if t.complete(payload, nil) {
+		t.complete(payload, nil, func() {
 			c.mTasks.Inc()
 			if isHedge {
 				c.mHedgeWins.Inc()
 			}
-		}
+		})
 		return
 	}
 	if t.ctx != nil && t.ctx.Err() != nil {
@@ -651,7 +655,7 @@ func (c *Coordinator) attempt(t *task, i int, w *workerState) {
 		// passed mid-call. Finish the task directly — the worker is not to
 		// blame, no failover slot burns, dist.worker_failures stays put.
 		w.br.releaseAttempt()
-		t.complete(experiments.CellPayload{}, t.ctx.Err())
+		t.complete(experiments.CellPayload{}, t.ctx.Err(), nil)
 		return
 	}
 	if t.isCompleted() {
@@ -665,7 +669,7 @@ func (c *Coordinator) attempt(t *task, i int, w *workerState) {
 		// is wrong, not the worker — which answered coherently, so the
 		// breaker records a success.
 		w.br.onSuccess()
-		t.complete(experiments.CellPayload{}, err)
+		t.complete(experiments.CellPayload{}, err, nil)
 		return
 	}
 	c.mFailures.Inc()
@@ -699,7 +703,7 @@ func (c *Coordinator) failover(t *task, i int, err error) {
 	if others > 0 {
 		return // a concurrent attempt may still win; it decides on failure
 	}
-	t.complete(experiments.CellPayload{}, err)
+	t.complete(experiments.CellPayload{}, err, nil)
 }
 
 // pickUntriedLocked returns an admitting worker that has neither failed nor

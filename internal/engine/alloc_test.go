@@ -17,6 +17,32 @@ func TestInvocationAllocs(t *testing.T) {
 	}
 }
 
+// TestThrashAllocs pins the lukewarm thrash at zero allocations: the cache
+// flush walks a list it reuses, the bimodal reseeds a PCG it keeps, and
+// ThrashSelective snapshots only the structures it keeps (here none).
+func TestThrashAllocs(t *testing.T) {
+	e := New(buildBenchProgram(t), DefaultConfig())
+	if _, err := e.RunInvocation(InvocationOptions{Seed: 1, MaxInstr: 60_000}); err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(2)
+	for _, tc := range []struct {
+		name   string
+		thrash func()
+	}{
+		{"Thrash", func() { e.Thrash(seed) }},
+		{"ThrashSelective", func() { e.ThrashSelective(seed, false, false, false) }},
+	} {
+		got := testing.AllocsPerRun(10, func() {
+			tc.thrash()
+			seed++
+		})
+		if got != 0 {
+			t.Errorf("steady-state %s allocates %.1f objects, want 0", tc.name, got)
+		}
+	}
+}
+
 // TestBatchedInvocationAllocs pins the batched entry point: a whole train of
 // invocations shares one InvocationStats backing array plus one pointer
 // slice, so the per-train total must stay constant (independent of train

@@ -225,13 +225,17 @@ func (e *Engine) Thrash(seed uint64) {
 
 // ThrashSelective flushes like Thrash but optionally preserves the BTB,
 // BIM or TAGE contents across the thrash — the warm-state sensitivity
-// studies of Figures 4 and 5.
+// studies of Figures 4 and 5. A structure is snapshotted only when it is
+// kept, so a plain lukewarm thrash copies nothing.
 func (e *Engine) ThrashSelective(seed uint64, keepBTB, keepBIM, keepTAGE bool) {
 	var btbState *btb.Snapshot
 	if keepBTB {
 		btbState = e.btb.Snapshot()
 	}
-	cbpState := e.cbp.Snapshot()
+	var cbpState *bpred.State
+	if keepBIM || keepTAGE {
+		cbpState = e.cbp.Snapshot()
+	}
 
 	e.Thrash(seed)
 

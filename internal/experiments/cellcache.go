@@ -39,13 +39,15 @@ var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
 // spec — so the nl/interleaved baseline that fig3, fig8, fig9a, fig11 and
 // fig12 all need is simulated exactly once per RunAll instead of five times.
 // Entries are computed single-flight: a second request for an in-flight key
-// blocks until the first completes and shares its result.
+// blocks until the first completes and shares its result. Below the cell
+// table, a simulation memo (see simulate) runs each distinct simulation once
+// even when two cell keys name it.
 type CellCache struct {
 	mu    sync.Mutex
 	cells map[string]*cellEntry
 	hits  int
-	// memo holds the program and trace memos. A side cache shares its
-	// parent's (see side); neither memo counts in Stats.
+	// memo holds the program, trace and simulation memos. A side cache
+	// shares its parent's (see side); no memo counts in Stats.
 	memo *memos
 	// shareTraces feeds cells pre-generated committed traces (the walk
 	// depends only on the program and seed, never on the front-end
@@ -100,12 +102,14 @@ func (cc *CellCache) SetBacking(b CellBacking) { cc.backing = b }
 // before the first cell request.
 func (cc *CellCache) SetRemote(fn RemoteFunc) { cc.remote = fn }
 
-// memos are the cell-independent artifacts every cell of a workload reads:
-// generated programs and committed invocation traces.
+// memos are the artifacts cells share below the cell table: generated
+// programs and committed invocation traces, which every cell of a workload
+// reads, and simulation results keyed by simKey.
 type memos struct {
 	mu     sync.Mutex
 	progs  map[string]*progEntry
 	traces map[string]*traceEntry
+	sims   map[string]*cellEntry
 }
 
 type progEntry struct {
@@ -134,17 +138,18 @@ func NewCellCache() *CellCache {
 		memo: &memos{
 			progs:  make(map[string]*progEntry),
 			traces: make(map[string]*traceEntry),
+			sims:   make(map[string]*cellEntry),
 		},
 		shareTraces: true,
 	}
 }
 
 // side returns a cache for cells that must stay out of cc's books. It
-// borrows cc's program and trace memos, so its cells reuse every program
-// build and trace walk, but keeps its own cell table and has no store
-// backing and no remote. cc's Stats — and so the cacheCells/cacheHits of
-// every manifest stamped from it — do not see anything computed on the
-// side. side(nil) is nil, leaving runMatrix on its private-cache path.
+// borrows cc's memos, so its cells reuse every program build, trace walk
+// and simulation, but keeps its own cell table and has no store backing
+// and no remote. cc's Stats — and so the cacheCells/cacheHits of every
+// manifest stamped from it — do not see anything requested on the side.
+// side(nil) is nil, leaving runMatrix on its private-cache path.
 func (cc *CellCache) side() *CellCache {
 	if cc == nil {
 		return nil
@@ -175,6 +180,14 @@ func cellKey(spec workload.Spec, rc runConfig) string {
 	return fmt.Sprintf("%s|kind=%s|mode=%d|%s", specKey(spec), rc.Kind, rc.Mode, tweakKey(rc.Tweak))
 }
 
+// simKey is cellKey over canonical tweaks: the cells it merges (an explicit
+// default such as a 12288-entry BTB, and the untweaked cell) run the same
+// simulation.
+func simKey(spec workload.Spec, rc runConfig) string {
+	rc.Tweak = rc.Tweak.Canonical()
+	return cellKey(spec, rc)
+}
+
 // program returns the workload's generated program, building it at most once.
 func (cc *CellCache) program(spec workload.Spec) (*cfg.Program, error) {
 	m := cc.memo
@@ -203,11 +216,17 @@ type cellEnv struct {
 }
 
 // cell returns the simulated (workload, config) cell, computing it at most
-// once per unique key. The second return reports whether the cell was served
-// from the cache (an entry another request already created). A panic during
+// once per unique key. The second return reports whether no simulation ran
+// for this request: the cell was served from the cache (an entry another
+// request already created) or from the simulation memo. A panic during
 // computation is recovered into a *faults.PanicError and cached as the
 // entry's error — without that, sync.Once would mark the entry done and
 // serve a nil cell to every later requester.
+//
+// The table, its hit count and the store stay per key even when two keys
+// share one simulation: Stats, and the manifests stamped from it, then read
+// the same as before the memo existed, and a warm store serves every key
+// without canonicalizing.
 func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell, bool, error) {
 	key := cellKey(spec, rc)
 	cc.mu.Lock()
@@ -219,6 +238,7 @@ func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell,
 		cc.cells[key] = e
 	}
 	cc.mu.Unlock()
+	shared := false
 	e.once.Do(func() {
 		defer func() {
 			if v := recover(); v != nil {
@@ -248,7 +268,7 @@ func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell,
 			}
 			e.c = &cell{Res: p.Res, Metrics: p.Metrics}
 		} else {
-			e.c, e.err = cc.compute(spec, rc, env)
+			e.c, shared, e.err = cc.simulate(spec, rc, env)
 		}
 		if e.err == nil && cc.backing != nil {
 			cc.backing.Save(key, CellPayload{Res: e.c.Res, Metrics: e.c.Metrics})
@@ -266,7 +286,32 @@ func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell,
 		}
 		cc.mu.Unlock()
 	}
-	return e.c, hit, e.err
+	return e.c, hit || shared, e.err
+}
+
+// simulate runs the cell's simulation at most once per simKey, single-
+// flight, and reports whether an earlier request already ran it. A panic is
+// recovered into the entry's error, as in cell, so an entry never holds a
+// nil cell without an error.
+func (cc *CellCache) simulate(spec workload.Spec, rc runConfig, env cellEnv) (*cell, bool, error) {
+	m := cc.memo
+	key := simKey(spec, rc)
+	m.mu.Lock()
+	e, shared := m.sims[key]
+	if !shared {
+		e = &cellEntry{}
+		m.sims[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		defer func() {
+			if v := recover(); v != nil {
+				e.c, e.err = nil, &faults.PanicError{Value: v, Stack: debug.Stack()}
+			}
+		}()
+		e.c, e.err = cc.compute(spec, rc, env)
+	})
+	return e.c, shared, e.err
 }
 
 // trace returns the committed trace for (workload, seed, budget), walking

@@ -81,7 +81,7 @@ func (p *ProgressReporter) CellFailed(e CellFailedEvent) {
 }
 
 // Summary returns the totals observed so far (cells completed, of which
-// served from the cell cache).
+// served without a simulation; see CellDoneEvent.Cached).
 func (p *ProgressReporter) Summary() (cells, cacheHits int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -70,16 +70,22 @@ type ReplayEndEvent struct {
 // CellDoneEvent marks one (workload, config) cell completing inside an
 // experiment matrix. Done/Total describe progress through that matrix.
 type CellDoneEvent struct {
-	Experiment string        `json:"experiment"`
-	Workload   string        `json:"workload"`
-	Config     string        `json:"config"`
-	Cached     bool          `json:"cached"`
-	Done       int           `json:"done"`
-	Total      int           `json:"total"`
-	Elapsed    time.Duration `json:"elapsedNs"`
+	Experiment string `json:"experiment"`
+	Workload   string `json:"workload"`
+	Config     string `json:"config"`
+	// Cached reports that no simulation ran for this request: the cell
+	// came from the cell table or shared another key's identical
+	// simulation. A cell loaded from the persistent store reports false.
+	// The cell table's own hit count (CellCache.Stats) is narrower: it
+	// counts table hits only.
+	Cached  bool          `json:"cached"`
+	Done    int           `json:"done"`
+	Total   int           `json:"total"`
+	Elapsed time.Duration `json:"elapsedNs"`
 }
 
-// CacheHitEvent marks a cell request served from the shared cell cache.
+// CacheHitEvent marks a cell request served without a simulation, in the
+// sense of CellDoneEvent.Cached.
 type CacheHitEvent struct {
 	Workload string `json:"workload"`
 	Config   string `json:"config"`

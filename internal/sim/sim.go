@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 
+	"ignite/internal/btb"
+	"ignite/internal/cache"
 	"ignite/internal/cfg"
 	"ignite/internal/check"
 	"ignite/internal/engine"
@@ -78,6 +80,31 @@ type Tweaks struct {
 	// L2KiB overrides the L2 capacity in KiB (0 = default 1280); see
 	// WithL2KiB for the geometry constraint.
 	L2KiB int
+}
+
+// Canonical returns tw with every tweak that equals its default zeroed, so
+// two tweak sets that build the same simulation compare equal. The defaults
+// are read from the configurations NewWithProgram starts from; a value the
+// setup ignores (a non-positive size, threshold or budget) folds too.
+// Keep is left as is: whether a kept structure matters depends on the kind.
+func (tw Tweaks) Canonical() Tweaks {
+	ig := ignite.DefaultConfig()
+	if tw.BIMPolicy != nil && *tw.BIMPolicy == ig.Replay.Policy {
+		tw.BIMPolicy = nil
+	}
+	if tw.ThrottleThreshold <= 0 || tw.ThrottleThreshold == ig.Replay.ThrottleThreshold {
+		tw.ThrottleThreshold = 0
+	}
+	if tw.MetadataBytes <= 0 || tw.MetadataBytes == ig.MetadataBytes {
+		tw.MetadataBytes = 0
+	}
+	if tw.BTBEntries <= 0 || tw.BTBEntries == btb.DefaultConfig().Entries {
+		tw.BTBEntries = 0
+	}
+	if tw.L2KiB <= 0 || tw.L2KiB<<10 == cache.DefaultL2Bytes {
+		tw.L2KiB = 0
+	}
+	return tw
 }
 
 // Setup is a ready-to-run simulation of one (function, configuration) pair.

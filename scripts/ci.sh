@@ -8,9 +8,10 @@ cd "$(dirname "$0")/.."
 
 # named_pass [GO_TEST_FLAGS...] -- PATTERN PKG...: run the tests PATTERN
 # selects, after checking that each |-separated alternative (its top-level
-# part, before any /) names at least one test in PKG... — go test passes
-# silently when -run matches nothing, so a renamed test would otherwise drop
-# out of its named pass unnoticed.
+# part, before any /) names at least one test or fuzz target in PKG... — go
+# test passes silently when -run matches nothing, so a renamed test would
+# otherwise drop out of its named pass unnoticed. A fuzz target in a -run
+# pass runs its seed corpus.
 named_pass() {
   local flags=()
   while [ "$1" != "--" ]; do flags+=("$1"); shift; done
@@ -20,7 +21,7 @@ named_pass() {
   listed="$(go test -list . "$@")"
   IFS='|' read -ra alts <<<"$pattern"
   for alt in "${alts[@]}"; do
-    if ! grep -E '^Test' <<<"$listed" | grep -Eq -- "${alt%%/*}"; then
+    if ! grep -E '^(Test|Fuzz)' <<<"$listed" | grep -Eq -- "${alt%%/*}"; then
       echo "ci: -run alternative '$alt' matches no test in $*" >&2
       return 1
     fi
@@ -90,6 +91,23 @@ named_pass -race -- 'TestScheduler' ./internal/experiments
 # documents serially and on a wide pool; the isolation test pins that the
 # shared cache's Stats (and so every manifest) never see their cells.
 named_pass -race -- 'TestGoldenAblationDocuments|TestAblationsStayOutOfSharedCache' ./internal/experiments
+
+# Model-layer differential checks by name: the packed cache against its
+# naive reference model (the fuzz target's seed corpus, the sentinel-tag
+# regression and the tick renormalization test), and the allocation pins of
+# the invocation and thrash paths. Then a short fuzz smoke of the same
+# target. Minimization is capped at one run: the fuzzer minimizes every new
+# interesting input, and an uncapped minimization of one multi-hundred-op
+# stream would take the whole budget.
+named_pass -- 'FuzzCacheMatchesReference|TestSentinelTagProbeMisses|TestTickRenormalizationPreservesLRU' ./internal/cache
+named_pass -- 'TestThrashAllocs|TestInvocationAllocs' ./internal/engine
+go test -run '^$' -fuzz FuzzCacheMatchesReference -fuzztime 15s -fuzzminimizetime 1x -parallel 2 ./internal/cache
+
+# Simulation memo under the race detector, by name: duplicate cells share
+# one single-flight simulation across the sweep cache and the ablations'
+# side caches, the tweak folding behind its key leaves results unchanged,
+# and a panicking simulation is memoized as an error.
+named_pass -race -- 'TestTweaksCanonical|TestSimMemo' ./internal/experiments
 
 # Mutation smoke: break every invariant on purpose and prove the checker
 # fires, then run the metamorphic properties (the -race sweep above already
@@ -264,4 +282,4 @@ named_pass -race -timeout 10m -- 'TestChaosSweepByteIdentical' ./internal/chaos
        <(grep -v '"generated"' resume-b/fig1.json)
 )
 
-echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, self-healing smoke, crash-and-resume smoke)"
+echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, cache reference + fuzz smoke, simulation memo pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, self-healing smoke, crash-and-resume smoke)"
