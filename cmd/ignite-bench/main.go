@@ -99,9 +99,8 @@ func main() {
 	listFlag := flag.Bool("list", false, "list experiments and workloads, then exit")
 	workerFlag := flag.Bool("worker", false, "run as a distributed-sweep worker: serve cell tasks on -listen until interrupted")
 	listenFlag := flag.String("listen", "127.0.0.1:0", "worker listen address (with -worker; :0 picks a free port and prints it)")
-	workersFlag := flag.Int("workers", 0, "spawn N supervised local worker processes and distribute cells across them (alias of -spawn-workers)")
 	spawnWorkersFlag := flag.Int("spawn-workers", 0, "spawn N supervised local worker processes: crashed workers restart with capped backoff on stable addresses")
-	workerAddrsFlag := flag.String("worker-addrs", "", "comma-separated addresses of already-running workers (alternative to -workers)")
+	workerAddrsFlag := flag.String("worker-addrs", "", "comma-separated addresses of already-running workers (alternative to -spawn-workers)")
 	storeFlag := flag.String("store", "", "directory of the persistent content-addressed cell store (created if missing)")
 	jsonFlag := flag.Bool("json", false, "write per-experiment wall-clock and allocation metrics to BENCH.json")
 	benchoutFlag := flag.String("benchout", "", "write the benchmark report to this path (convention: BENCH_<n>.json, a committed trajectory of benchmark runs)")
@@ -164,23 +163,16 @@ func main() {
 
 	// Distributed sweep: shard fresh cells across worker processes. Cells
 	// already in the store never reach the wire — the backing is consulted
-	// first — so a warm rerun with -workers is pure local I/O.
-	spawnN := *spawnWorkersFlag
-	if *workersFlag > 0 {
-		if spawnN > 0 {
-			cfgcli.Exit("ignite-bench", nil, cfgcli.Usage("ignite-bench: -workers and -spawn-workers are aliases; set one"))
-		}
-		spawnN = *workersFlag
-	}
+	// first — so a warm rerun with -spawn-workers is pure local I/O.
 	var coord *dist.Coordinator
 	var super *dist.Supervisor
-	if spawnN > 0 || *workerAddrsFlag != "" {
+	if *spawnWorkersFlag > 0 || *workerAddrsFlag != "" {
 		addrs := splitList(*workerAddrsFlag)
-		if spawnN > 0 && len(addrs) > 0 {
+		if *spawnWorkersFlag > 0 && len(addrs) > 0 {
 			cfgcli.Exit("ignite-bench", nil, cfgcli.Usage("ignite-bench: -spawn-workers and -worker-addrs are mutually exclusive"))
 		}
 		if len(addrs) == 0 {
-			super, err = dist.StartSupervisor(dist.SupervisorOptions{Workers: spawnN})
+			super, err = dist.StartSupervisor(dist.SupervisorOptions{Workers: *spawnWorkersFlag})
 			if err != nil {
 				cfgcli.Exit("ignite-bench", nil, err)
 			}
@@ -290,8 +282,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dist: %d task(s) completed remotely, %d steal(s), %d failover(s)\n",
 			tasks, steals, failovers)
 		h := coord.Health()
-		fmt.Fprintf(os.Stderr, "dist: %d worker failure(s), %d quarantine(s), %d readmit(s), %d probe(s), %d hedge(s) (%d won)\n",
-			h.Failures, h.Quarantines, h.Readmits, h.Probes, h.Hedges, h.HedgeWins)
+		fmt.Fprintf(os.Stderr, "dist: %d worker failure(s), %d quarantine(s), %d readmit(s), %d probe(s)\n",
+			h.Failures, h.Quarantines, h.Readmits, h.Probes)
 	}
 	if super != nil {
 		fmt.Fprintf(os.Stderr, "dist: %d worker restart(s)\n", super.Restarts())

@@ -9,12 +9,12 @@
 //  1. Serial baseline: every experiment computed in-process on a fresh
 //     cell cache; its documents are the ground truth.
 //  2. Chaos sweep: a supervised local fleet (dist.Supervisor) computes the
-//     same experiments through a coordinator with breakers, probing and
-//     hedging, persisting cells into a content-addressed store — while a
-//     killer goroutine SIGKILLs random workers (waiting for the fleet to
-//     heal between murders) and an optional faults.Plan injects network
-//     chaos on the coordinator's transport. Every document must equal the
-//     baseline byte for byte, and no cell may be lost.
+//     same experiments through a coordinator that fails over, quarantines
+//     and re-admits workers, persisting cells into a content-addressed
+//     store — while a killer goroutine SIGKILLs random workers (waiting
+//     for the fleet to heal between murders) and an optional faults.Plan
+//     injects network chaos on the coordinator's transport. Every document
+//     must equal the baseline byte for byte, and no cell may be lost.
 //  3. Health check: after the sweep, every (restarted) worker must be
 //     re-admitted by the prober, and the store seals to a Merkle root.
 //  4. Warm replay: a fresh cache served purely from the store recomputes
@@ -166,21 +166,20 @@ func diffContext(want, got []byte) string {
 	return fmt.Sprintf("lengths differ: baseline %d, got %d", len(want), len(got))
 }
 
-// waitHealthy polls until every worker breaker is closed, the deadline
-// passes, or stop closes.
-func waitHealthy(coord *dist.Coordinator, timeout time.Duration, stop <-chan struct{}) bool {
+// waitFor polls until healed holds, the deadline passes, or stop closes.
+func waitFor(healed func() bool, timeout time.Duration, stop <-chan struct{}) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if coord.WorkersHealthy() {
+		if healed() {
 			return true
 		}
 		select {
 		case <-time.After(20 * time.Millisecond):
 		case <-stop:
-			return coord.WorkersHealthy()
+			return healed()
 		}
 	}
-	return coord.WorkersHealthy()
+	return healed()
 }
 
 // Run executes the chaos harness; see the package comment for the acts.
@@ -202,23 +201,17 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 
 	// Act 2: the chaos sweep.
 	sup, err := dist.StartSupervisor(dist.SupervisorOptions{
-		Workers:        o.Workers,
-		Command:        o.Command,
-		RestartBackoff: 100 * time.Millisecond,
-		BackoffCap:     time.Second,
-		Log:            func(format string, args ...any) { o.Log("supervisor: "+format, args...) },
+		Workers: o.Workers,
+		Command: o.Command,
+		Log:     func(format string, args ...any) { o.Log("supervisor: "+format, args...) },
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer sup.Close()
 	coord, err := dist.NewCoordinator(dist.CoordinatorOptions{
-		Addrs:           sup.Addrs(),
-		Client:          &http.Client{Transport: faults.NewTransport(o.Net, nil)},
-		ProbeInterval:   50 * time.Millisecond,
-		ProbeBackoffCap: 500 * time.Millisecond,
-		ProbeTimeout:    time.Second,
-		HealthyEvery:    4,
+		Addrs:  sup.Addrs(),
+		Client: &http.Client{Transport: faults.NewTransport(o.Net, nil)},
 	})
 	if err != nil {
 		return nil, err
@@ -247,6 +240,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 				return
 			}
 			victim := rng.Intn(o.Workers)
+			restarts := sup.Restarts()
 			if err := sup.Kill(victim); err != nil {
 				o.Log("kill worker %d: %v", victim, err)
 				continue
@@ -254,9 +248,10 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 			killed.Add(1)
 			o.Log("SIGKILLed worker %d", victim)
 			// Wait for the supervisor to resurrect the victim and the
-			// prober to re-admit it before the next murder, so the fleet
-			// never drops below one live worker.
-			if !waitHealthy(coord, 15*time.Second, sweepDone) {
+			// prober to re-admit any quarantined worker before the next
+			// murder, so the fleet never drops below one live worker.
+			healed := func() bool { return sup.Restarts() > restarts && coord.WorkersHealthy() }
+			if !waitFor(healed, 15*time.Second, sweepDone) {
 				o.Log("worker %d not re-admitted in time", victim)
 			}
 		}
@@ -271,7 +266,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	}
 
 	// Act 3: the whole fleet must be re-admitted, then seal.
-	if !waitHealthy(coord, 15*time.Second, nil) {
+	if !waitFor(coord.WorkersHealthy, 15*time.Second, nil) {
 		return nil, fmt.Errorf("chaos: fleet not fully re-admitted after the sweep (restarts=%d, health=%+v)",
 			sup.Restarts(), coord.Health())
 	}

@@ -28,9 +28,18 @@ import (
 // TestMain doubles as the supervisor tests' worker entry point: the test
 // binary, re-executed with IGNITE_DIST_TEST_WORKER set, becomes a real
 // worker process (the `ignite-bench -worker` equivalent) instead of
-// running the test suite.
+// running the test suite. With IGNITE_DIST_TEST_CRASH also set it is a
+// worker that exits right after its ready line.
 func TestMain(m *testing.M) {
 	if addr := os.Getenv("IGNITE_DIST_TEST_WORKER"); addr != "" {
+		if os.Getenv("IGNITE_DIST_TEST_CRASH") != "" {
+			ln, err := net.Listen("tcp", addr)
+			if err != nil {
+				os.Exit(1)
+			}
+			fmt.Printf("%s%s\n", ReadyPrefix, ln.Addr())
+			os.Exit(1)
+		}
 		if err := RunWorker(context.Background(), addr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -41,8 +50,8 @@ func TestMain(m *testing.M) {
 }
 
 // testWorkerCommand re-executes this test binary as a worker process via
-// the TestMain hook.
-func testWorkerCommand(t *testing.T) func(addr string) (*exec.Cmd, error) {
+// the TestMain hook, with extra environment entries appended.
+func testWorkerCommand(t *testing.T, env ...string) func(addr string) (*exec.Cmd, error) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -50,7 +59,7 @@ func testWorkerCommand(t *testing.T) func(addr string) (*exec.Cmd, error) {
 	}
 	return func(addr string) (*exec.Cmd, error) {
 		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), "IGNITE_DIST_TEST_WORKER="+addr)
+		cmd.Env = append(append(os.Environ(), "IGNITE_DIST_TEST_WORKER="+addr), env...)
 		return cmd, nil
 	}
 }
@@ -82,6 +91,17 @@ func startWorkers(t *testing.T, n int) []string {
 		addrs[i] = strings.TrimPrefix(srv.URL, "http://")
 	}
 	return addrs
+}
+
+// deadAddr returns a loopback address nothing listens on.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	return ln.Addr().String()
 }
 
 func docBytes(t *testing.T, res *experiments.Result, opt experiments.Options) []byte {
@@ -169,12 +189,7 @@ func TestWorkerRejectsKeyMismatch(t *testing.T) {
 // failures reroute, not fail, the sweep) and the failover/health metrics
 // must record the reroutes.
 func TestCoordinatorFailover(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
+	dead := deadAddr(t)
 	live := startWorkers(t, 1)[0]
 
 	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{dead, live}, Slots: 1})
@@ -385,7 +400,7 @@ func TestTaskCancelNotWorkerFault(t *testing.T) {
 	defer close(stop)
 	addr := strings.TrimPrefix(srv.URL, "http://")
 
-	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addr}, Slots: 1, DisableProbing: true})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addr}, Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,10 +465,7 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 	addrA := strings.TrimPrefix(srvA.URL, "http://")
 	addrB := strings.TrimPrefix(srvB.URL, "http://")
 
-	coord, err := NewCoordinator(CoordinatorOptions{
-		Addrs: []string{addrA, addrB}, Slots: 1,
-		DisableProbing: true, DisableHedging: true,
-	})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addrA, addrB}, Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,85 +515,16 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 	}
 }
 
-// TestHedgedDispatch: a task stuck on a slow worker past the hedge delay
-// is duplicated on the other worker; the fast copy wins, the slow attempt
-// is canceled without blaming anyone.
-func TestHedgedDispatch(t *testing.T) {
-	// The first task attempt — on whichever worker receives it — stalls;
-	// every later attempt is served normally. The hedge therefore always
-	// lands on a responsive worker and must win.
-	var slowed atomic.Bool
-	stop := make(chan struct{})
-	slowify := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == PathTask && slowed.CompareAndSwap(false, true) {
-				select {
-				case <-time.After(5 * time.Second):
-				case <-r.Context().Done():
-					return
-				case <-stop:
-					return
-				}
-			}
-			h.ServeHTTP(rw, r)
-		})
-	}
-	srvA := httptest.NewServer(slowify(NewWorker().Handler()))
-	defer srvA.Close()
-	srvB := httptest.NewServer(slowify(NewWorker().Handler()))
-	defer srvB.Close()
-	defer close(stop)
-
-	coord, err := NewCoordinator(CoordinatorOptions{
-		Addrs: []string{
-			strings.TrimPrefix(srvA.URL, "http://"),
-			strings.TrimPrefix(srvB.URL, "http://"),
-		},
-		Slots:          1,
-		HedgeFallback:  50 * time.Millisecond,
-		DisableProbing: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	cs := cellsHomedOn(t, coord, 0, 1)[0]
-	start := time.Now()
-	if _, err := coord.Remote()(context.Background(), cs, experiments.CellEnv{}); err != nil {
-		t.Fatalf("hedged cell failed: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed >= 5*time.Second {
-		t.Errorf("cell took %v: the hedge never rescued it from the slow worker", elapsed)
-	}
-	h := coord.Health()
-	if h.Hedges < 1 || h.HedgeWins < 1 {
-		t.Errorf("hedges = %d, wins = %d, want both >= 1", h.Hedges, h.HedgeWins)
-	}
-	if h.Failures != 0 {
-		t.Errorf("dist.worker_failures = %d: a canceled hedge loser was blamed on its worker", h.Failures)
-	}
-}
-
 // TestProberReadmitsRestartedWorker: a quarantined worker is re-admitted
 // by the background prober — without sacrificing a task — once a
 // replacement process answers /v1/health on the same address.
 func TestProberReadmitsRestartedWorker(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close() // the worker is "down"
+	addr := deadAddr(t) // the worker is "down"
 
+	// One round per failure, so the cell surfaces its error exactly when
+	// the worker is quarantined.
 	coord, err := NewCoordinator(CoordinatorOptions{
-		Addrs: []string{addr}, Slots: 1,
-		MinSamples:        1,
-		ProbeInterval:     20 * time.Millisecond,
-		ProbeBackoffCap:   200 * time.Millisecond,
-		ProbeTimeout:      500 * time.Millisecond,
-		DisableHedging:    true,
-		MaxDispatchRounds: 1,
+		Addrs: []string{addr}, Slots: 1, MaxDispatchRounds: quarantineAfter,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -633,10 +576,9 @@ func TestProberReadmitsRestartedWorker(t *testing.T) {
 // expects a replacement serving /v1/health on the same address.
 func TestSupervisorRestartsWorker(t *testing.T) {
 	s, err := StartSupervisor(SupervisorOptions{
-		Workers:        1,
-		Command:        testWorkerCommand(t),
-		RestartBackoff: 20 * time.Millisecond,
-		Log:            func(format string, args ...any) { t.Logf("supervisor: "+format, args...) },
+		Workers: 1,
+		Command: testWorkerCommand(t),
+		Log:     func(format string, args ...any) { t.Logf("supervisor: "+format, args...) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -667,5 +609,135 @@ func TestSupervisorRestartsWorker(t *testing.T) {
 	}
 	if s.Restarts() < 1 {
 		t.Errorf("restarts = %d, want >= 1", s.Restarts())
+	}
+}
+
+// TestQuarantineNeedsConsecutiveFailures pins the quarantine rule: three
+// straight worker-owned failures take a worker out of dispatch, and a
+// success in between starts the count over.
+func TestQuarantineNeedsConsecutiveFailures(t *testing.T) {
+	w := &workerState{}
+	for n, failed := range []bool{true, true, false, true, true} {
+		if failed && w.failure() {
+			t.Fatalf("failure at outcome %d quarantined the worker: want 3 straight failures, a success resetting the count", n)
+		} else if !failed {
+			w.success()
+		}
+	}
+	if !w.failure() {
+		t.Fatal("3 straight failures did not quarantine the worker")
+	}
+	if w.admitted() || w.health() != 0 {
+		t.Errorf("quarantined worker: admitted = %v, health = %v, want false and 0", w.admitted(), w.health())
+	}
+}
+
+// TestProbeRefusesDrainingWorker: a probe re-admits only a worker that
+// answers "ok"; a draining one would shed every task sent to it.
+func TestProbeRefusesDrainingWorker(t *testing.T) {
+	draining := NewWorker()
+	draining.Drain()
+	srv := httptest.NewServer(draining.Handler())
+	defer srv.Close()
+	addrs := []string{strings.TrimPrefix(srv.URL, "http://"), startWorkers(t, 1)[0]}
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: addrs, Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if coord.probe(coord.workers[0]) {
+		t.Error("probe accepted a draining worker")
+	}
+	if !coord.probe(coord.workers[1]) {
+		t.Error("probe refused a healthy worker")
+	}
+}
+
+// TestLastResortWhenFleetQuarantined: with every worker dead and
+// quarantined, a cell is still dispatched (to quarantined workers, as a
+// last resort) and Remote returns a transient *WorkerError once its rounds
+// are spent instead of leaving the task queued forever.
+func TestLastResortWhenFleetQuarantined(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorOptions{
+		Addrs: []string{deadAddr(t), deadAddr(t)}, Slots: 1,
+		// The first quarantineAfter rounds quarantine both workers; the
+		// rest run with no worker admitted.
+		MaxDispatchRounds: quarantineAfter + 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cs := cellsHomedOn(t, coord, 0, 1)[0]
+	_, rerr := coord.Remote()(ctx, cs, experiments.CellEnv{})
+	var we *WorkerError
+	if !errors.As(rerr, &we) || !faults.IsTransient(rerr) {
+		t.Fatalf("dead fleet returned %v, want a transient *WorkerError", rerr)
+	}
+	if h := coord.Health(); h.Quarantines != 2 {
+		t.Errorf("quarantines = %d, want 2 (the whole fleet)", h.Quarantines)
+	}
+}
+
+// TestDispatchRoundsOutlastLateWorker: a worker that comes up about 300ms
+// after the cell is sent still serves it with no error — the rounds absorb
+// the outage instead of surfacing it as a cell retry.
+func TestDispatchRoundsOutlastLateWorker(t *testing.T) {
+	addr := deadAddr(t)
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addr}, Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := &http.Server{Handler: NewWorker().Handler()}
+	defer srv.Close()
+	up := make(chan error, 1)
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		ln, err := net.Listen("tcp", addr)
+		up <- err
+		if err == nil {
+			srv.Serve(ln)
+		}
+	}()
+	cs := cellsHomedOn(t, coord, 0, 1)[0]
+	if _, err := coord.Remote()(context.Background(), cs, experiments.CellEnv{}); err != nil {
+		t.Fatalf("cell failed although its worker came up: %v", err)
+	}
+	if err := <-up; err != nil {
+		t.Fatal(err)
+	}
+	if coord.Health().Failures == 0 {
+		t.Error("no failed attempt recorded: the worker was up before the first round")
+	}
+}
+
+// TestSupervisorAbandonsCrashLoop: a worker that exits right after its
+// ready line burns its restart budget and is abandoned, not restarted
+// forever.
+func TestSupervisorAbandonsCrashLoop(t *testing.T) {
+	s, err := StartSupervisor(SupervisorOptions{
+		Workers: 1,
+		Command: testWorkerCommand(t, "IGNITE_DIST_TEST_CRASH=1"),
+		Log:     func(format string, args ...any) { t.Logf("supervisor: "+format, args...) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reg := obs.NewRegistry()
+	s.RegisterMetrics(reg)
+	abandoned := func() float64 { return reg.Snapshot().Values()["dist.workers_abandoned{component=dist}"] }
+	deadline := time.Now().Add(20 * time.Second)
+	for abandoned() == 0 && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := abandoned(); got != 1 {
+		t.Fatalf("dist.workers_abandoned = %v, want 1", got)
+	}
+	if s.Restarts() != maxRestarts {
+		t.Errorf("restarts = %d, want %d (the whole budget)", s.Restarts(), maxRestarts)
 	}
 }

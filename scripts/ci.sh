@@ -185,11 +185,11 @@ go test -race ./internal/dist
     -out dist-local >/dev/null
   ./ignite-bench \
     -exp fig1 -workloads Fib-G,Auth-G -target-instr 100000 -parallel 2 \
-    -workers 2 -store cellstore -out dist-cold >/dev/null 2>dist-cold.log
+    -spawn-workers 2 -store cellstore -out dist-cold >/dev/null 2>dist-cold.log
   grep -q 'store: sealed 4 record' dist-cold.log
   ./ignite-bench \
     -exp fig1 -workloads Fib-G,Auth-G -target-instr 100000 -parallel 2 \
-    -workers 2 -store cellstore -out dist-warm >/dev/null 2>dist-warm.log
+    -spawn-workers 2 -store cellstore -out dist-warm >/dev/null 2>dist-warm.log
   grep -q 'dist: 0 task(s) completed remotely' dist-warm.log
   grep -q 'store: 4 hit(s)' dist-warm.log
   diff <(grep -v '"generated"' dist-local/fig1.json) \
@@ -203,9 +203,9 @@ go test -race ./internal/dist
 # address, the prober re-admit it, and the run still exit 0 with a document
 # byte-identical (modulo the generation timestamp) to the single-process
 # baseline and a store that reseals to the same Merkle root warm. The named
-# -race passes keep the breaker/prober/hedge/supervisor paths and the full
-# chaos harness visible on their own.
-named_pass -race -- 'TestSupervisorRestartsWorker|TestProberReadmitsRestartedWorker|TestHedgedDispatch|TestTaskCancelNotWorkerFault|TestWorkerDrainShedsInFlightFailover' \
+# -race passes keep the quarantine/prober/dispatch-round/last-resort/
+# supervisor paths and the full chaos harness visible on their own.
+named_pass -race -- 'TestSupervisorRestartsWorker|TestSupervisorAbandonsCrashLoop|TestProberReadmitsRestartedWorker|TestProbeRefusesDrainingWorker|TestQuarantineNeedsConsecutiveFailures|TestLastResortWhenFleetQuarantined|TestDispatchRoundsOutlastLateWorker|TestTaskCancelNotWorkerFault|TestWorkerDrainShedsInFlightFailover' \
   ./internal/dist
 named_pass -race -timeout 10m -- 'TestChaosSweepByteIdentical' ./internal/chaos
 (
