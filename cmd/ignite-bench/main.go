@@ -5,11 +5,11 @@
 //	ignite-bench -exp all                # every experiment, all 20 functions
 //	ignite-bench -exp fig8,fig9a         # selected experiments
 //	ignite-bench -exp fig3 -workloads Auth-G,Curr-N -parallel 4
-//	ignite-bench -exp all -json          # also write BENCH.json
 //	ignite-bench -exp fig1 -out results/ # versioned JSON document per experiment
 //	ignite-bench -exp all -progress      # narrate cell completions + ETA
 //	ignite-bench -exp all -fail-policy continue -out results/
 //	ignite-bench -exp all -store cells -out results/  # rerun as is to resume
+//	ignite-bench -exp all -cpuprofile run.pprof       # CPU profile of the runs
 //
 // With -fail-policy continue, a failing simulation cell degrades its figure
 // (the cell is reported, healthy cells complete) instead of aborting the
@@ -26,13 +26,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -57,29 +55,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// expReport is the per-experiment entry of BENCH.json.
-type expReport struct {
-	ID          string `json:"id"`
-	Title       string `json:"title"`
-	WallClockNs int64  `json:"wallClockNs"`
-	NsPerOp     int64  `json:"nsPerOp"` // identical to WallClockNs: one op = one experiment run
-	AllocsPerOp uint64 `json:"allocsPerOp"`
-	BytesPerOp  uint64 `json:"bytesPerOp"`
-}
-
-// benchReport is the BENCH.json document.
-type benchReport struct {
-	Generated   string      `json:"generated"`
-	Note        string      `json:"note,omitempty"`
-	GoVersion   string      `json:"goVersion"`
-	Workloads   int         `json:"workloads"`
-	Parallel    int         `json:"parallel"`
-	TotalNs     int64       `json:"totalNs"`
-	CacheCells  int         `json:"cacheCells"`
-	CacheHits   int         `json:"cacheHits"`
-	Experiments []expReport `json:"experiments"`
-}
-
 func idList() string {
 	var b strings.Builder
 	for i, id := range experiments.IDs() {
@@ -102,9 +77,6 @@ func main() {
 	spawnWorkersFlag := flag.Int("spawn-workers", 0, "spawn N supervised local worker processes: crashed workers restart with capped backoff on stable addresses")
 	workerAddrsFlag := flag.String("worker-addrs", "", "comma-separated addresses of already-running workers (alternative to -spawn-workers)")
 	storeFlag := flag.String("store", "", "directory of the persistent content-addressed cell store (created if missing)")
-	jsonFlag := flag.Bool("json", false, "write per-experiment wall-clock and allocation metrics to BENCH.json")
-	benchoutFlag := flag.String("benchout", "", "write the benchmark report to this path (convention: BENCH_<n>.json, a committed trajectory of benchmark runs)")
-	noteFlag := flag.String("benchnote", "", "free-form annotation embedded in the benchmark report (e.g. before/after hot-path numbers)")
 	cpuFlag := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this path")
 	outFlag := flag.String("out", "", "directory for machine-readable JSON result documents")
 	progFlag := flag.Bool("progress", false, "report per-cell completion and ETA on stderr")
@@ -206,16 +178,6 @@ func main() {
 		}
 	}
 
-	report := benchReport{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Note:      *noteFlag,
-		GoVersion: runtime.Version(),
-		Workloads: len(opt.Workloads),
-		Parallel:  cf.Parallel,
-	}
-	if report.Workloads == 0 {
-		report.Workloads = len(workload.All())
-	}
 	if *cpuFlag != "" {
 		f, err := os.Create(*cpuFlag)
 		if err != nil {
@@ -228,16 +190,12 @@ func main() {
 		}
 		defer f.Close()
 	}
-	totalStart := time.Now()
-	var mem runtime.MemStats
 	var results []*experiments.Result
 	failed := false
 	for _, id := range ids {
 		if ctx.Err() != nil {
 			break
 		}
-		runtime.ReadMemStats(&mem)
-		mallocs, bytes := mem.Mallocs, mem.TotalAlloc
 		start := time.Now()
 		res, err := experiments.Run(ctx, id, opt)
 		if err != nil {
@@ -249,7 +207,6 @@ func main() {
 			break
 		}
 		elapsed := time.Since(start)
-		runtime.ReadMemStats(&mem)
 		fmt.Println(res.Render())
 		fmt.Printf("[%s completed in %.1fs]\n\n", id, elapsed.Seconds())
 		printFailures(res)
@@ -257,21 +214,11 @@ func main() {
 			failed = true
 		}
 		results = append(results, res)
-		report.Experiments = append(report.Experiments, expReport{
-			ID:          string(id),
-			Title:       experiments.Title(id),
-			WallClockNs: elapsed.Nanoseconds(),
-			NsPerOp:     elapsed.Nanoseconds(),
-			AllocsPerOp: mem.Mallocs - mallocs,
-			BytesPerOp:  mem.TotalAlloc - bytes,
-		})
 	}
 	if *cpuFlag != "" {
 		pprof.StopCPUProfile()
 		fmt.Fprintf(os.Stderr, "wrote CPU profile to %s\n", *cpuFlag)
 	}
-	report.TotalNs = time.Since(totalStart).Nanoseconds()
-	report.CacheCells, report.CacheHits = opt.Cache.Stats()
 	if reporter != nil {
 		cells, hits := reporter.Summary()
 		fmt.Fprintf(os.Stderr, "%d cells (%d cache hits)\n", cells, hits)
@@ -301,7 +248,7 @@ func main() {
 
 	if *outFlag != "" {
 		man := opt.Manifest()
-		man.Generated = report.Generated
+		man.Generated = time.Now().UTC().Format(time.RFC3339)
 		for _, res := range results {
 			path, err := res.Document(man).WriteFile(*outFlag, string(res.ID))
 			if err != nil {
@@ -309,29 +256,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-
-	benchPaths := make([]string, 0, 2)
-	if *jsonFlag {
-		benchPaths = append(benchPaths, "BENCH.json")
-	}
-	if *benchoutFlag != "" {
-		benchPaths = append(benchPaths, *benchoutFlag)
-	}
-	if len(benchPaths) > 0 {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for _, path := range benchPaths {
-			if err := obs.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d experiments, %d unique cells, %d cache hits)\n",
-				path, len(report.Experiments), report.CacheCells, report.CacheHits)
 		}
 	}
 

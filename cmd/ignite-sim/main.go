@@ -1,36 +1,25 @@
 // Command ignite-sim runs a single (function, configuration) simulation
-// under the lukewarm protocol and prints detailed statistics, or reproduces
-// the full experiment suite.
+// under the lukewarm protocol and prints detailed statistics. The paper's
+// tables and figures are reproduced by ignite-bench.
 //
 // Usage:
 //
 //	ignite-sim -fn Auth-G -config ignite
 //	ignite-sim -fn Curr-N -config boomerang+jb -mode back-to-back
-//	ignite-sim -show-config
-//	ignite-sim -all -out results/           # machine-readable JSON per experiment
-//	ignite-sim -all -progress               # narrate cell completions + ETA
-//	ignite-sim -all -fail-policy continue   # degrade on cell failures, don't abort
+//	ignite-sim -fn Auth-G -config ignite -out results/  # JSON metric snapshot
+//	ignite-sim -list
 //
 // The IGNITE_FAULTS environment variable arms deterministic fault injection
-// (see internal/faults) on both the suite and single-cell runs.
-//
-// Ctrl-C cancels cleanly: in-flight simulation cells drain, unstarted ones
-// are skipped, and the command exits with status 130. Simulation failures
-// exit 1; usage errors exit 2.
+// (see internal/faults). Simulation failures exit 1; usage errors, such as
+// an unknown function, configuration or mode, exit 2.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"ignite/internal/experiments"
-	"ignite/internal/faults"
+	"ignite/internal/cfgcli"
 	"ignite/internal/lukewarm"
 	"ignite/internal/obs"
 	"ignite/internal/sim"
@@ -42,44 +31,11 @@ func main() {
 	cfgFlag := flag.String("config", "nl", "front-end configuration (nl, fdp, boomerang, jukebox, boomerang+jb, confluence, ignite, ignite+tage, confluence+ignite, ideal)")
 	modeFlag := flag.String("mode", "interleaved", "inter-invocation mode: interleaved or back-to-back")
 	listFlag := flag.Bool("list", false, "list functions and configurations")
-	showCfg := flag.Bool("show-config", false, "print the simulated core parameters (Table 2)")
-	allFlag := flag.Bool("all", false, "reproduce every registered experiment through one shared cell cache")
-	outFlag := flag.String("out", "", "directory for machine-readable JSON result documents")
-	progFlag := flag.Bool("progress", false, "report per-cell completion and ETA on stderr")
-	policyFlag := flag.String("fail-policy", "fail-fast", "cell-failure policy for -all: fail-fast or continue")
-	timeoutFlag := flag.Duration("cell-timeout", 0, "per-cell simulation deadline for -all (0 = none)")
+	outFlag := flag.String("out", "", "directory for the machine-readable JSON result document")
 	cyclesFlag := flag.Uint64("max-cycles", 0, "per-invocation engine cycle budget (0 = unlimited)")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	plan, err := faults.FromEnvSpec(os.Getenv(faults.EnvVar))
-	if err != nil {
-		fatalCode(2, err)
-	}
-
-	switch {
-	case *allFlag:
-		policy, err := experiments.ParseFailurePolicy(*policyFlag)
-		if err != nil {
-			fatalCode(2, err)
-		}
-		runAll(ctx, allOptions{
-			dir:      *outFlag,
-			progress: *progFlag,
-			policy:   policy,
-			timeout:  *timeoutFlag,
-			cycles:   *cyclesFlag,
-			faults:   plan,
-		})
-	case *showCfg:
-		res, err := experiments.Run(ctx, "tab2", experiments.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	case *listFlag:
+	if *listFlag {
 		fmt.Println("functions:")
 		for _, s := range workload.All() {
 			fmt.Printf("  %-8s %-36s %s\n", s.Name, s.FullName, s.Lang)
@@ -88,88 +44,25 @@ func main() {
 		for _, k := range sim.Kinds() {
 			fmt.Printf("  %s\n", k)
 		}
-	default:
-		runOne(*fnFlag, *cfgFlag, *modeFlag, *outFlag, *cyclesFlag, plan)
+		return
 	}
-}
-
-// allOptions bundles the -all run's knobs.
-type allOptions struct {
-	dir      string
-	progress bool
-	policy   experiments.FailurePolicy
-	timeout  time.Duration
-	cycles   uint64
-	faults   *faults.Plan
-}
-
-// runAll reproduces every experiment, optionally exporting one versioned
-// JSON document per experiment into dir.
-func runAll(ctx context.Context, ao allOptions) {
-	opt := experiments.Options{
-		Cache:         experiments.NewCellCache(),
-		FailurePolicy: ao.policy,
-		CellTimeout:   ao.timeout,
-		MaxCycles:     ao.cycles,
-		Faults:        ao.faults,
-		Health:        new(obs.RunHealth),
-	}
-	var reporter *obs.ProgressReporter
-	if ao.progress {
-		reporter = obs.NewProgressReporter(os.Stderr)
-		opt.Tracer = reporter
-	}
-
-	results, runErr := experiments.RunAll(ctx, nil, opt)
-	failed := runErr != nil
-	for _, res := range results {
-		fmt.Println(res.Render())
-		fmt.Println()
-		if len(res.Failures) > 0 {
-			failed = true
-			fmt.Fprintf(os.Stderr, "%s: %d degraded cell(s):\n", res.ID, len(res.Failures))
-			for _, f := range res.Failures {
-				fmt.Fprintf(os.Stderr, "  %-12s %-16s %-8s %s\n", f.Workload, f.Config, f.Status, f.Err)
-			}
-		}
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, runErr)
-	}
-	if reporter != nil {
-		cells, hits := reporter.Summary()
-		fmt.Fprintf(os.Stderr, "%d cells (%d cache hits)\n", cells, hits)
-	}
-	if ao.dir != "" {
-		man := opt.Manifest()
-		man.Generated = time.Now().UTC().Format(time.RFC3339)
-		for _, res := range results {
-			path, err := res.Document(man).WriteFile(ao.dir, string(res.ID))
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-	switch {
-	case errors.Is(runErr, context.Canceled) || ctx.Err() != nil:
-		fmt.Fprintln(os.Stderr, "ignite-sim: interrupted")
-		os.Exit(130)
-	case failed:
-		os.Exit(1)
-	}
+	cfgcli.Exit("ignite-sim", nil, runOne(*fnFlag, *cfgFlag, *modeFlag, *outFlag, *cyclesFlag))
 }
 
 // runOne simulates a single (function, configuration) cell and prints its
 // statistics; with -out it also exports the cell's full metric snapshot.
-func runOne(fn, cfgName, modeName, dir string, maxCycles uint64, plan *faults.Plan) {
+func runOne(fn, cfgName, modeName, dir string, maxCycles uint64) error {
+	plan, err := cfgcli.FaultsFromEnv()
+	if err != nil {
+		return err
+	}
 	spec, err := workload.ByName(fn)
 	if err != nil {
-		fatalCode(2, err)
+		return &cfgcli.UsageError{Err: err}
 	}
-	mode := lukewarm.Interleaved
-	if modeName == "back-to-back" || modeName == "b2b" {
-		mode = lukewarm.BackToBack
+	mode, err := lukewarm.ParseMode(modeName)
+	if err != nil {
+		return &cfgcli.UsageError{Err: err}
 	}
 
 	opts := []sim.Option{sim.WithFaults(plan)}
@@ -178,11 +71,11 @@ func runOne(fn, cfgName, modeName, dir string, maxCycles uint64, plan *faults.Pl
 	}
 	setup, err := sim.New(spec, sim.Kind(cfgName), opts...)
 	if err != nil {
-		fatalCode(2, err)
+		return &cfgcli.UsageError{Err: err}
 	}
 	res, err := setup.Run(mode)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	st := res.CPIStack()
@@ -229,14 +122,9 @@ func runOne(fn, cfgName, modeName, dir string, maxCycles uint64, plan *faults.Pl
 		}
 		path, err := doc.WriteFile(dir, doc.ID)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
-}
-
-func fatal(err error) { fatalCode(1, err) }
-func fatalCode(code int, err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(code)
+	return nil
 }

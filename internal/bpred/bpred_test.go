@@ -81,6 +81,41 @@ func TestBimodalRandomizeDeterministic(t *testing.T) {
 	}
 }
 
+// TestBimodalRandomizeMatchesRandUintN pins Randomize's PCG-and-mask fill
+// to the reference it replaced: rand.Rand.UintN(4) per counter over the
+// same two seed words. A table that was trained and restored first must
+// come out of Randomize identical to a fresh one, restored flags included.
+func TestBimodalRandomizeMatchesRandUintN(t *testing.T) {
+	for _, size := range []int{16, 1024, 16384} {
+		for _, seed := range []uint64{0, 1, 7, 0xa5a5a5a5deadbeef, 1 << 63} {
+			ref := rand.New(rand.NewPCG(seed, seed^0xa5a5a5a5deadbeef))
+			fresh := NewBimodal(size)
+			fresh.Randomize(seed)
+			for i, got := range fresh.Snapshot() {
+				if want := uint8(ref.UintN(4)); got != want {
+					t.Fatalf("size %d seed %#x: counter %d = %d, rand.UintN(4) = %d", size, seed, i, got, want)
+				}
+			}
+
+			used := NewBimodal(size)
+			for pc := uint64(0); pc < uint64(size)*8; pc += 12 {
+				used.Update(pc, pc%3 == 0)
+				used.Set(pc+4, WeaklyTaken)
+			}
+			used.Randomize(seed ^ 1)
+			used.Randomize(seed)
+			if got, want := used.Snapshot(), fresh.Snapshot(); string(got) != string(want) {
+				t.Fatalf("size %d seed %#x: used-then-randomized table differs from a fresh one", size, seed)
+			}
+			for i := range used.restored {
+				if used.restored[i] != fresh.restored[i] {
+					t.Fatalf("size %d seed %#x: restored[%d] = %v after Randomize", size, seed, i, used.restored[i])
+				}
+			}
+		}
+	}
+}
+
 func TestBimodalSnapshotRestore(t *testing.T) {
 	b := NewBimodal(256)
 	b.Update(0x10, true)

@@ -49,12 +49,6 @@ type CellCache struct {
 	// memo holds the program, trace and simulation memos. A side cache
 	// shares its parent's (see side); no memo counts in Stats.
 	memo *memos
-	// shareTraces feeds cells pre-generated committed traces (the walk
-	// depends only on the program and seed, never on the front-end
-	// configuration, so a workload's ~6 invocation traces are identical
-	// across every cell). Disabled only on the benchmark path that
-	// replays the pre-scheduler cost model.
-	shareTraces bool
 	// backing, when set, persists computed cells to (and restores them
 	// from) a cross-run store — see SetBacking. Loads and saves happen
 	// inside the entry's single-flight section, so hit accounting (and
@@ -140,7 +134,6 @@ func NewCellCache() *CellCache {
 			traces: make(map[string]*traceEntry),
 			sims:   make(map[string]*cellEntry),
 		},
-		shareTraces: true,
 	}
 }
 
@@ -154,7 +147,7 @@ func (cc *CellCache) side() *CellCache {
 	if cc == nil {
 		return nil
 	}
-	return &CellCache{cells: make(map[string]*cellEntry), memo: cc.memo, shareTraces: cc.shareTraces}
+	return &CellCache{cells: make(map[string]*cellEntry), memo: cc.memo}
 }
 
 // specKey fingerprints everything about a workload that affects simulation:
@@ -354,11 +347,12 @@ func (cc *CellCache) compute(spec workload.Spec, rc runConfig, env cellEnv) (*ce
 	}
 	setup.Eng.AttachScratch(scratchPool.Get().(*engine.Scratch))
 	defer func() { scratchPool.Put(setup.Eng.DetachScratch()) }()
-	if cc.shareTraces {
-		specK := specKey(spec)
-		setup.TraceProvider = func(seed, maxInstr uint64) ([]cfg.Step, cfg.WalkResult, error) {
-			return cc.trace(prog, specK, seed, maxInstr)
-		}
+	// The walk depends only on the program and seed, never on the
+	// front-end configuration, so a workload's invocation traces are
+	// generated once and shared by every cell.
+	specK := specKey(spec)
+	setup.TraceProvider = func(seed, maxInstr uint64) ([]cfg.Step, cfg.WalkResult, error) {
+		return cc.trace(prog, specK, seed, maxInstr)
 	}
 	res, err := setup.Run(rc.Mode)
 	if err != nil {

@@ -91,11 +91,6 @@ type Options struct {
 	// recovered, transient retries, deadline hits, failed and skipped
 	// cells.
 	Health *obs.RunHealth
-	// serialConfigs restores the pre-scheduler execution shape — one
-	// goroutine per workload running its configurations serially — and is
-	// kept only so benchmarks can measure the old path (see
-	// BenchmarkRunAllSerialNoCache in this package).
-	serialConfigs bool
 }
 
 func (o Options) withDefaults() Options {
@@ -374,11 +369,8 @@ func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*m
 	cache := opt.Cache
 	if cache == nil {
 		// Private per-matrix cache: no cross-experiment reuse, but still
-		// one program build per workload. The serial benchmark path
-		// replays the pre-scheduler cost model, which regenerated every
-		// invocation trace, so trace sharing stays off there.
+		// one program build per workload.
 		cache = NewCellCache()
-		cache.shareTraces = !opt.serialConfigs
 	}
 	m := &matrix{
 		cells:     make(map[string]map[string]*cell, len(opt.Workloads)),
@@ -430,26 +422,12 @@ func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*m
 	}
 
 	sched := newScheduler(ctx, id, opt)
-	if opt.serialConfigs {
-		for _, spec := range opt.Workloads {
-			spec := spec
-			sched.submit(spec.Name, "*", func(cctx context.Context, _ int) error {
-				for _, rc := range configs {
-					if err := runCell(cctx, spec, rc); err != nil {
-						return err
-					}
-				}
-				return nil
+	for _, spec := range opt.Workloads {
+		for _, rc := range configs {
+			spec, rc := spec, rc
+			sched.submit(spec.Name, rc.Name, func(cctx context.Context, _ int) error {
+				return runCell(cctx, spec, rc)
 			})
-		}
-	} else {
-		for _, spec := range opt.Workloads {
-			for _, rc := range configs {
-				spec, rc := spec, rc
-				sched.submit(spec.Name, rc.Name, func(cctx context.Context, _ int) error {
-					return runCell(cctx, spec, rc)
-				})
-			}
 		}
 	}
 	m.outcomes = sched.wait()

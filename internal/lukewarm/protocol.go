@@ -36,6 +36,18 @@ func (m Mode) String() string {
 	return "interleaved"
 }
 
+// ParseMode resolves a mode's name: "interleaved" (also the empty string)
+// or "back-to-back" (also "b2b").
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "interleaved":
+		return Interleaved, nil
+	case "back-to-back", "b2b":
+		return BackToBack, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (valid: interleaved, back-to-back)", s)
+}
+
 // Preserve selects structures exempted from the thrash (Figures 4 and 5).
 type Preserve struct {
 	BTB  bool

@@ -140,6 +140,25 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Mode
+		ok   bool
+	}{
+		{"", Interleaved, true},
+		{"interleaved", Interleaved, true},
+		{"back-to-back", BackToBack, true},
+		{"b2b", BackToBack, true},
+		{"backtoback", 0, false},
+	} {
+		got, err := ParseMode(tc.name)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestEmptyResultHelpers(t *testing.T) {
 	r := &Result{}
 	if r.CPI() != 0 || r.MeanTraffic().Total() != 0 {

@@ -73,9 +73,8 @@ func (ls Labels) String() string {
 type Kind string
 
 const (
-	KindCounter      Kind = "counter"
-	KindGauge        Kind = "gauge"
-	KindDistribution Kind = "distribution"
+	KindCounter Kind = "counter"
+	KindGauge   Kind = "gauge"
 )
 
 // Counter is a monotonically increasing event counter owned by the
@@ -119,60 +118,6 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Distribution accumulates observations (count, sum, min, max). It keeps
-// constant state rather than samples, so hot paths can Observe freely.
-// Observations are mutex-guarded: the multi-field update must be atomic as
-// a unit for concurrent observers and scrapers (batch sizes recorded by
-// server workers while /metrics snapshots the registry).
-type Distribution struct {
-	mu       sync.Mutex
-	count    uint64
-	sum      float64
-	min, max float64
-}
-
-// Observe folds one observation into the distribution.
-func (d *Distribution) Observe(v float64) {
-	d.mu.Lock()
-	if d.count == 0 || v < d.min {
-		d.min = v
-	}
-	if d.count == 0 || v > d.max {
-		d.max = v
-	}
-	d.count++
-	d.sum += v
-	d.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (d *Distribution) Count() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.count
-}
-
-// Mean returns the arithmetic mean of observations (0 when empty).
-func (d *Distribution) Mean() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.meanLocked()
-}
-
-func (d *Distribution) meanLocked() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	return d.sum / float64(d.count)
-}
-
-// read returns a consistent (mean, count, min, max) quadruple.
-func (d *Distribution) read() (mean float64, count uint64, min, max float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.meanLocked(), d.count, d.min, d.max
-}
-
 // metric is one registered instrument.
 type metric struct {
 	name   string
@@ -181,7 +126,6 @@ type metric struct {
 
 	counter *Counter
 	gauge   *Gauge
-	dist    *Distribution
 	// read-through sources bridging pre-existing component counters into
 	// the registry without relocating their hot-path storage.
 	counterFn func() uint64
@@ -199,7 +143,7 @@ func sampleKey(name string, labels Labels) string {
 
 // Registry holds a set of named, labeled metrics. Registration is
 // synchronized (components register concurrently under the cell scheduler),
-// and the registry-owned instruments — Counter, Gauge, Distribution — are
+// and the registry-owned instruments — Counter and Gauge — are
 // safe for concurrent update and scrape, so a live registry can back an
 // HTTP /metrics endpoint while request workers update it. Read-through
 // CounterFunc/GaugeFunc metrics carry their own contract: see CounterFunc.
@@ -284,27 +228,12 @@ func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) {
 	m.gauge = nil
 }
 
-// Distribution returns the distribution registered under (name, labels).
-func (r *Registry) Distribution(name string, labels Labels) *Distribution {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.registerLocked(name, labels, KindDistribution)
-	if m.dist == nil {
-		m.dist = &Distribution{}
-	}
-	return m.dist
-}
-
 // Sample is one metric's value at snapshot time.
 type Sample struct {
 	Name   string  `json:"name"`
 	Labels Labels  `json:"labels,omitempty"`
 	Kind   Kind    `json:"kind"`
 	Value  float64 `json:"value"`
-	// Count/Min/Max/Mean carry distribution detail (zero otherwise).
-	Count uint64  `json:"count,omitempty"`
-	Min   float64 `json:"min,omitempty"`
-	Max   float64 `json:"max,omitempty"`
 }
 
 // Key returns the sample's canonical identity, name{k=v,...}.
@@ -332,8 +261,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Value = m.gaugeFn()
 		case m.gauge != nil:
 			s.Value = m.gauge.Value()
-		case m.dist != nil:
-			s.Value, s.Count, s.Min, s.Max = m.dist.read()
 		}
 		out = append(out, s)
 	}
@@ -341,8 +268,7 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
-// Values flattens the snapshot to key → value (distributions report their
-// mean) — the form stored per simulation cell and exported in result
+// Values flattens the snapshot to key → value — the form stored per simulation cell and exported in result
 // documents.
 func (s Snapshot) Values() map[string]float64 {
 	out := make(map[string]float64, len(s))

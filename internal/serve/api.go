@@ -307,14 +307,11 @@ func ParseKind(s string) (sim.Kind, *ErrorEnvelope) {
 
 // ParseMode resolves the wire spelling of a lukewarm mode.
 func ParseMode(s string) (lukewarm.Mode, *ErrorEnvelope) {
-	switch s {
-	case "", "interleaved":
-		return lukewarm.Interleaved, nil
-	case "back-to-back", "b2b":
-		return lukewarm.BackToBack, nil
-	default:
-		return 0, envelope(CodeUnknownMode, "unknown mode %q (valid: interleaved, back-to-back)", s)
+	mode, err := lukewarm.ParseMode(s)
+	if err != nil {
+		return 0, envelope(CodeUnknownMode, "%v", err)
 	}
+	return mode, nil
 }
 
 // CatalogResponse answers /v1/catalog: the names a client may put in an
@@ -342,9 +339,6 @@ type MetricSample struct {
 	Key   string  `json:"key"`
 	Kind  string  `json:"kind"`
 	Value float64 `json:"value"`
-	Count uint64  `json:"count,omitempty"`
-	Min   float64 `json:"min,omitempty"`
-	Max   float64 `json:"max,omitempty"`
 }
 
 // DecodeMetrics parses a /metrics document, rejecting unknown schema

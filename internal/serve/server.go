@@ -353,9 +353,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Key:   smp.Key(),
 			Kind:  string(smp.Kind),
 			Value: smp.Value,
-			Count: smp.Count,
-			Min:   smp.Min,
-			Max:   smp.Max,
 		})
 	}
 	writeJSON(w, http.StatusOK, doc)

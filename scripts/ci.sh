@@ -31,6 +31,8 @@ named_pass() {
 
 go build ./...
 go vet ./...
+unformatted="$(gofmt -l .)"
+test -z "$unformatted" || { echo "ci: gofmt needed on: $unformatted" >&2; exit 1; }
 # The full suite simulates hundreds of (workload, config) cells; under the
 # race detector on a small machine that legitimately exceeds go test's 10m
 # default timeout, so set an explicit budget.
@@ -52,9 +54,8 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 (
   cd "$smoke"
   ./ignite-bench \
-    -exp fig1 -workloads Fib-G -target-instr 200000 -json -out results \
+    -exp fig1 -workloads Fib-G -target-instr 200000 -out results \
     >/dev/null
-  test -s BENCH.json
   test -s results/fig1.json
   grep -q '"schemaVersion": 1' results/fig1.json
   grep -q '"kind": "ignite.experiment-result"' results/fig1.json
@@ -66,14 +67,22 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 (
   cd "$smoke"
   IGNITE_CHECKS=1 ./ignite-bench \
-    -exp fig8 -workloads Fib-G -target-instr 200000 -json -out results-checked \
+    -exp fig8 -workloads Fib-G -target-instr 200000 -out results-checked \
     >/dev/null
   test -s results-checked/fig8.json
 )
 
+# Single-cell CLI smoke: cmd/ has no tests, so pin ignite-sim's usage
+# contract here — an unknown -mode is a usage error (exit 2), not a silent
+# interleaved run.
+go build -o "$smoke/ignite-sim" ./cmd/ignite-sim
+status=0
+"$smoke/ignite-sim" -fn Fib-G -config nl -mode backtoback >/dev/null 2>&1 || status=$?
+test "$status" -eq 2
+
 # Bench smoke: every benchmark must still run (one iteration each) — a
-# benchmark that panics or no longer compiles is a broken promise to anyone
-# comparing against the committed BENCH_<n>.json trajectory.
+# benchmark that panics or no longer compiles is caught here rather than by
+# the next person who profiles with it.
 go test -run '^$' -bench=. -benchtime=1x -benchmem ./internal/engine ./internal/fleet/budget
 
 # Batching path under the race detector, by name: the batched invocation
@@ -282,4 +291,4 @@ named_pass -race -timeout 10m -- 'TestChaosSweepByteIdentical' ./internal/chaos
        <(grep -v '"generated"' resume-b/fig1.json)
 )
 
-echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, cache reference + fuzz smoke, simulation memo pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, self-healing smoke, crash-and-resume smoke)"
+echo "ci: ok (build, vet, gofmt, race tests, examples, JSON export, checked smoke, ignite-sim smoke, bench smoke, batching race pass, cache reference + fuzz smoke, simulation memo pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, self-healing smoke, crash-and-resume smoke)"
